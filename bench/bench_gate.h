@@ -53,7 +53,15 @@ struct GateReport {
   std::vector<std::string> failures;
   std::vector<std::string> notes;  // improvements, skips
   std::size_t metrics_checked = 0;
+  // Some failure is a schema problem (malformed or drifted documents, a
+  // bench missing on one side) rather than a measured regression.
+  bool schema_error = false;
   bool ok() const { return failures.empty(); }
+
+  void SchemaFailure(std::string message) {
+    failures.push_back(std::move(message));
+    schema_error = true;
+  }
 
   void Print(std::FILE* out) const {
     for (const std::string& n : notes) {
@@ -73,7 +81,7 @@ inline const JsonValue* MetricField(const JsonValue& metric, const char* key,
                                     const std::string& where, GateReport* report) {
   const JsonValue* v = metric.Find(key);
   if (v == nullptr) {
-    report->failures.push_back(where + ": malformed metric (missing \"" + key + "\")");
+    report->SchemaFailure(where + ": malformed metric (missing \"" + key + "\")");
   }
   return v;
 }
@@ -94,7 +102,7 @@ inline void CompareMetric(const std::string& where, const JsonValue& base,
   }
   if (b_kind->string_value != c_kind->string_value ||
       b_dir->string_value != c_dir->string_value) {
-    report->failures.push_back(where + ": kind/direction changed (" + b_kind->string_value +
+    report->SchemaFailure(where + ": kind/direction changed (" + b_kind->string_value +
                                "/" + b_dir->string_value + " -> " + c_kind->string_value + "/" +
                                c_dir->string_value + "); re-record the baseline");
     return;
@@ -140,21 +148,21 @@ inline GateReport GateCompare(const JsonValue& baseline, const std::vector<JsonV
   GateReport report;
   const JsonValue* benches = baseline.Find("benches");
   if (benches == nullptr || !benches->is_object()) {
-    report.failures.push_back("baseline: missing \"benches\" object");
+    report.SchemaFailure("baseline: missing \"benches\" object");
     return report;
   }
   std::set<std::string> covered;
   for (const JsonValue& current : currents) {
     const JsonValue* name_v = current.Find("bench");
     if (name_v == nullptr || !name_v->is_string()) {
-      report.failures.push_back("current document: missing \"bench\" name");
+      report.SchemaFailure("current document: missing \"bench\" name");
       continue;
     }
     const std::string& name = name_v->string_value;
     covered.insert(name);
     const JsonValue* base_doc = benches->Find(name);
     if (base_doc == nullptr) {
-      report.failures.push_back("bench " + name +
+      report.SchemaFailure("bench " + name +
                                 ": not in the baseline; re-record (bench_gate --record)");
       continue;
     }
@@ -162,21 +170,21 @@ inline GateReport GateCompare(const JsonValue& baseline, const std::vector<JsonV
     const JsonValue* cur_metrics = current.Find("metrics");
     if (base_metrics == nullptr || cur_metrics == nullptr || !base_metrics->is_object() ||
         !cur_metrics->is_object()) {
-      report.failures.push_back("bench " + name + ": missing \"metrics\" object");
+      report.SchemaFailure("bench " + name + ": missing \"metrics\" object");
       continue;
     }
     // Schema drift, both directions.
     for (const auto& [metric, value] : base_metrics->members) {
       (void)value;
       if (cur_metrics->Find(metric) == nullptr) {
-        report.failures.push_back("bench " + name + ": metric " + metric +
+        report.SchemaFailure("bench " + name + ": metric " + metric +
                                   " vanished from the current run (schema drift)");
       }
     }
     for (const auto& [metric, value] : cur_metrics->members) {
       (void)value;
       if (base_metrics->Find(metric) == nullptr) {
-        report.failures.push_back("bench " + name + ": metric " + metric +
+        report.SchemaFailure("bench " + name + ": metric " + metric +
                                   " is not in the baseline (schema drift; re-record)");
       }
     }
@@ -191,7 +199,7 @@ inline GateReport GateCompare(const JsonValue& baseline, const std::vector<JsonV
     for (const auto& [name, doc] : benches->members) {
       (void)doc;
       if (covered.count(name) == 0) {
-        report.failures.push_back("bench " + name +
+        report.SchemaFailure("bench " + name +
                                   ": in the baseline but produced no current document");
       }
     }

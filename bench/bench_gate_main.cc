@@ -1,6 +1,8 @@
 // bench_gate: compares BENCH_*.json documents (bench --json=PATH output)
-// against scripts/bench_baseline.json and exits non-zero on regression or
-// schema drift. scripts/bench_gate.sh is the driver that runs the benches
+// against scripts/bench_baseline.json. Exits 0 when the gate holds, 1 on a
+// measured regression, and 2 on a usage, read or schema error (unreadable
+// or malformed file, schema drift) — so a check that expects a regression
+// cannot be satisfied by a missing baseline. scripts/bench_gate.sh is the driver that runs the benches
 // and invokes this binary; ctest runs it in --sim-only mode.
 //
 //   bench_gate --baseline=PATH --current=PATH [--current=PATH ...]
@@ -86,7 +88,7 @@ int Run(int argc, char** argv) {
   std::vector<JsonValue> currents(current_paths.size());
   for (std::size_t i = 0; i < current_paths.size(); ++i) {
     if (!LoadJson(current_paths[i], &currents[i])) {
-      return 1;
+      return 2;
     }
   }
 
@@ -100,7 +102,7 @@ int Run(int argc, char** argv) {
     std::FILE* f = std::fopen(record_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "bench_gate: cannot write %s\n", record_path.c_str());
-      return 1;
+      return 2;
     }
     std::fwrite(doc.data(), 1, doc.size(), f);
     std::fclose(f);
@@ -111,11 +113,14 @@ int Run(int argc, char** argv) {
 
   JsonValue baseline;
   if (!LoadJson(baseline_path, &baseline)) {
-    return 1;
+    return 2;
   }
   GateReport report = GateCompare(baseline, currents, opt);
   report.Print(stdout);
-  return report.ok() ? 0 : 1;
+  if (report.ok()) {
+    return 0;
+  }
+  return report.schema_error ? 2 : 1;
 }
 
 }  // namespace

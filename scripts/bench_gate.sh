@@ -13,7 +13,8 @@
 #                run. Do this after an intentional perf or schema change,
 #                on an otherwise idle machine.
 #   --selftest   prove the gate bites: rerun the wall benches under a 4x
-#                NEPHELE_BENCH_HANDICAP and require the comparison to FAIL.
+#                NEPHELE_BENCH_HANDICAP and require the comparison to report
+#                a regression (bench_gate exit 1, not a read/schema error).
 #
 # Wall metrics are retried up to 3 times before the gate's verdict stands,
 # so a single noisy run on a loaded machine does not fail the build.
@@ -72,9 +73,13 @@ case "${MODE}" in
   selftest)
     # A 4x synthetic slowdown on every wall metric must trip the 1.75x band
     # regardless of machine noise. A gate that passes here is not a gate.
+    # Exit 1 is the gate's regression verdict; 2 (unreadable baseline,
+    # schema drift) must not count as the gate biting.
     NEPHELE_BENCH_HANDICAP=4.0 run_wall_benches
-    if "${BENCH}/bench_gate" --baseline="${BASELINE}" "${CURRENTS_WALL[@]}"; then
-      echo "bench gate SELFTEST FAILED: a 4x handicap did not trip the gate" >&2
+    code=0
+    "${BENCH}/bench_gate" --baseline="${BASELINE}" "${CURRENTS_WALL[@]}" || code=$?
+    if [[ "${code}" != 1 ]]; then
+      echo "bench gate SELFTEST FAILED: a 4x handicap gave exit ${code}, want 1 (regression)" >&2
       exit 1
     fi
     echo "bench gate selftest passed: 4x handicap tripped the gate as required"

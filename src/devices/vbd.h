@@ -118,8 +118,6 @@ class VbdFrontend {
   Status Write(std::size_t offset, const std::vector<std::uint8_t>& data);
   Result<std::size_t> Size() const { return backend_->DiskSize(id_); }
 
-  // Clone support: same layout, child device id.
-  void RebindToDevice(DeviceId id) { id_ = id; }
   const DeviceId& device() const { return id_; }
 
  private:

@@ -1,8 +1,7 @@
-// Generic delta-debugging minimiser over an op sequence, shared by the DST
-// scenario shrinker and the hvfuzz tape shrinker. The caller supplies the
-// failure predicate — "re-run this candidate op list; does it still fail the
-// same way?" — so the algorithm is independent of what an op is or what
-// executing one means:
+// Generic delta-debugging minimiser over an op sequence, the engine behind
+// ShrinkTape (src/dst/fuzzer.h). The caller supplies the failure predicate —
+// "re-run this candidate op list; does it still fail the same way?" — so the
+// algorithm is independent of what an op is or what executing one means:
 //
 //   1. truncate — ops after the failing op are irrelevant by construction;
 //   2. ddmin    — delete chunks of ops, halving the chunk size down to 1,

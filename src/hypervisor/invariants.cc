@@ -250,17 +250,12 @@ std::string CheckEvtchnInvariants(const Hypervisor& hv) {
 }
 
 std::string CheckHypervisorInvariants(const Hypervisor& hv) {
-  std::string msg = CheckFrameInvariants(hv);
-  if (msg.empty()) {
-    msg = CheckP2mInvariants(hv);
+  for (const InvariantLayer& layer : kHypervisorInvariantLayers) {
+    if (std::string msg = layer.check(hv); !msg.empty()) {
+      return msg;
+    }
   }
-  if (msg.empty()) {
-    msg = CheckGrantInvariants(hv);
-  }
-  if (msg.empty()) {
-    msg = CheckEvtchnInvariants(hv);
-  }
-  return msg;
+  return "";
 }
 
 }  // namespace nephele

@@ -1,6 +1,6 @@
 // Hypervisor state invariants: the single reusable oracle consulted by the
-// DST executor, the hostile-guest fuzz harness (src/hvfuzz) and the gtest
-// suites (tests/frame_invariants.h). Each check walks live hypervisor state
+// DST op-tape executor (src/dst), the benches and the gtest suites
+// (tests/frame_invariants.h). Each check walks live hypervisor state
 // and returns "" when the invariant holds, else a human-readable violation.
 //
 //   frames   free + allocated == total; every allocated frame is referenced
@@ -35,6 +35,19 @@ std::string CheckFrameInvariants(const Hypervisor& hv);
 std::string CheckP2mInvariants(const Hypervisor& hv);
 std::string CheckGrantInvariants(const Hypervisor& hv);
 std::string CheckEvtchnInvariants(const Hypervisor& hv);
+
+// The four layers in check order, named for callers that report which one
+// failed.
+struct InvariantLayer {
+  const char* name;
+  std::string (*check)(const Hypervisor&);
+};
+inline constexpr InvariantLayer kHypervisorInvariantLayers[] = {
+    {"frames", &CheckFrameInvariants},
+    {"p2m", &CheckP2mInvariants},
+    {"grants", &CheckGrantInvariants},
+    {"evtchns", &CheckEvtchnInvariants},
+};
 
 // All of the above in order; the first violation wins.
 std::string CheckHypervisorInvariants(const Hypervisor& hv);

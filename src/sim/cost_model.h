@@ -148,10 +148,9 @@ struct CostModel {
   // ---------------------------------------------------------------------
   // Storage / 9pfs.
   // ---------------------------------------------------------------------
-  // One 9p RPC (open/stat/...), Dom0 ramdisk-backed.
+  // One 9p RPC (open/stat/...), Dom0 ramdisk-backed. Read/write payloads
+  // add P9TransferCost() below.
   SimDuration p9_rpc = SimDuration::Micros(40);
-  // Throughput term for reads/writes (~1.2 GB/s over the shared ring).
-  SimDuration p9_byte = SimDuration::Nanos(1);  // per ~1.2 bytes; see P9WriteCost()
   // Cloning one fid table entry in the shared backend process.
   SimDuration p9_fid_clone = SimDuration::Micros(8);
   // QMP clone request roundtrip to the backend process.

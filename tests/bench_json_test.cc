@@ -101,6 +101,8 @@ TEST(BenchGateTest, WallRegressionBeyondBandFails) {
   GateReport bad = Gate(baseline, {WallDoc("micro", 20.0)});
   EXPECT_FALSE(bad.ok());
   EXPECT_EQ(bad.failures.size(), 2u);
+  // A measured regression, not a schema problem: bench_gate exits 1.
+  EXPECT_FALSE(bad.schema_error);
 }
 
 TEST(BenchGateTest, SimBandIsTight) {
@@ -127,6 +129,8 @@ TEST(BenchGateTest, SchemaDriftFailsBothDirections) {
   ASSERT_EQ(report.failures.size(), 2u);
   EXPECT_NE(report.failures[0].find("vanished"), std::string::npos);
   EXPECT_NE(report.failures[1].find("not in the baseline"), std::string::npos);
+  // Schema problems are told apart from regressions: bench_gate exits 2.
+  EXPECT_TRUE(report.schema_error);
 }
 
 TEST(BenchGateTest, KindChangeIsSchemaDrift) {

@@ -6,7 +6,7 @@
 
 #include "src/core/system.h"
 #include "src/dst/executor.h"
-#include "src/dst/scenario.h"
+#include "src/dst/tape.h"
 #include "src/fault/fault.h"
 #include "src/obs/tsdb/alarm.h"
 #include "src/obs/tsdb/tsdb.h"
@@ -385,32 +385,32 @@ TEST_F(SchedTest, ThrashAlarmFreezesEvictionAndWidensWindow) {
   EXPECT_EQ(CounterValue("sched/evictions"), evictions_at_freeze + 1);
 }
 
-// The scheduler must not break sim-time determinism: a scenario exercising
-// sched ops produces a byte-identical digest across reruns and clone-engine
-// worker counts (the DST suite's core invariant, asserted here on the sched
-// corpus shape specifically).
+// The scheduler must not break sim-time determinism: a tape exercising sched
+// ops produces a byte-identical digest across reruns and clone-engine worker
+// counts (the DST suite's core invariant, asserted here on the sched corpus
+// shape specifically).
 TEST_F(SchedTest, DigestIdenticalAcrossWorkerCounts) {
   const std::string text =
-      "# nephele dst scenario v1\n"
       "seed 42\n"
+      "pool_frames 65536\n"
       "launch\n"
-      "write dom=0 slot=0 val=7\n"
-      "sched_acquire dom=0 n=2\n"
-      "write dom=1 slot=1 val=21\n"
-      "sched_release slot=0\n"
-      "sched_acquire dom=0 n=1\n"
-      "sched_release slot=0\n"
-      "sched_acquire dom=0 n=3\n";
-  auto scenario = Scenario::FromText(text);
-  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+      "write v=7\n"
+      "sched_acquire n=2\n"
+      "write a=4 c=1 v=21\n"
+      "sched_release\n"
+      "sched_acquire n=1\n"
+      "sched_release\n"
+      "sched_acquire n=3\n";
+  auto tape = Tape::FromText(text);
+  ASSERT_TRUE(tape.ok()) << tape.status().ToString();
 
   RunOptions one;
   one.force_workers = 1;
   RunOptions four;
   four.force_workers = 4;
-  RunResult a = RunScenario(*scenario, one);
-  RunResult b = RunScenario(*scenario, one);
-  RunResult c = RunScenario(*scenario, four);
+  RunResult a = RunTape(*tape, one);
+  RunResult b = RunTape(*tape, one);
+  RunResult c = RunTape(*tape, four);
   ASSERT_TRUE(a.ok()) << a.fail_kind << ": " << a.message;
   ASSERT_TRUE(b.ok()) << b.fail_kind << ": " << b.message;
   ASSERT_TRUE(c.ok()) << c.fail_kind << ": " << c.message;
