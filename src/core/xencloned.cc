@@ -170,6 +170,12 @@ Status Xencloned::DeepCopyXenstoreEntries(DomId /*parent*/, DomId child,
 }
 
 void Xencloned::HandleNotification(const CloneNotification& n) {
+  if (hv_.FindDomain(n.child) == nullptr) {
+    // Destroyed while its notification was queued: the engine's destroy
+    // hook already retired the pending slot, and nothing may be set up for
+    // a domain that no longer exists.
+    return;
+  }
   Status status = RunSecondStage(n);
   if (!status.ok()) {
     AbortSecondStage(n, status);
