@@ -3,15 +3,16 @@
 //   bench_figNN [positional...] [--flag=value ...]
 //
 // Positional parameters are declared by the bench (name + default) and
-// parsed in order; `--key=value` flags may appear anywhere. Two flags are
-// common to the whole fleet:
+// parsed in order; `--key=value` flags may appear anywhere. `--help` (print
+// the declared parameters and exit) is common to the whole fleet; every
+// other flag is declared by the bench. A bench that writes JSON declares
 //
 //   --json=PATH   machine-readable result mode: the bench writes its
 //                 BenchJsonWriter document (see bench_json.h) to PATH for
 //                 the perf-regression gate (scripts/bench_gate.sh)
-//   --help        print the declared parameters and exit
 //
-// Unknown flags are an error (exit 2) so a typo cannot silently run a bench
+// Undeclared flags, `--json` to a bench that writes none included, are an
+// error (exit 2) so a typo or a missing feature cannot silently run a bench
 // with defaults — except in pass-through mode (bench_micro_ops hands
 // unparsed flags to google-benchmark).
 
@@ -35,8 +36,8 @@ struct BenchArgSpec {
 
 class BenchArgs {
  public:
-  // `allowed_flags` lists the --key names this bench understands beyond the
-  // common --json/--help (e.g. "suite"). When `passthrough` is non-null,
+  // `allowed_flags` lists the --key names this bench understands beyond
+  // --help (e.g. "json", "suite"). When `passthrough` is non-null,
   // unknown flags are collected there (argv[0] is prepended) instead of
   // being rejected — the google-benchmark escape hatch.
   BenchArgs(int argc, char** argv, std::vector<BenchArgSpec> positional,
@@ -58,7 +59,7 @@ class BenchArgs {
           PrintUsage(argv[0], allowed_flags);
           std::exit(0);
         }
-        bool known = key == "json";
+        bool known = false;
         for (const std::string& f : allowed_flags) {
           known = known || f == key;
         }
@@ -101,7 +102,8 @@ class BenchArgs {
   }
 
   // Empty when the bench should print its human table; otherwise the path
-  // the BenchJsonWriter document goes to.
+  // the BenchJsonWriter document goes to. Only benches declaring "json" can
+  // see a non-empty path.
   std::string json_path() const { return Flag("json"); }
 
  private:
@@ -110,7 +112,6 @@ class BenchArgs {
     for (const BenchArgSpec& spec : positional_) {
       std::printf(" [%s]", spec.name.c_str());
     }
-    std::printf(" [--json=PATH]");
     for (const std::string& f : allowed_flags) {
       std::printf(" [--%s=VALUE]", f.c_str());
     }

@@ -186,7 +186,8 @@ int main(int argc, char** argv) {
   using namespace nephele;
   BenchArgs args(argc, argv,
                  {{"num_instances", 1000, "instances per series"},
-                  {"clone_worker_threads", 1, "staging threads (wall-clock only)"}});
+                  {"clone_worker_threads", 1, "staging threads (wall-clock only)"}},
+                 {"json"});
   int n = static_cast<int>(args.Positional("num_instances"));
   g_clone_worker_threads = static_cast<unsigned>(args.Positional("clone_worker_threads"));
 

@@ -36,7 +36,7 @@ constexpr double kSaturationRps = 1450.0;  // ab with 8 workers, Sec. 7.3
 
 int main(int argc, char** argv) {
   using namespace nephele;
-  BenchArgs args(argc, argv, {{"seconds", 150, "simulated seconds per run"}});
+  BenchArgs args(argc, argv, {{"seconds", 150, "simulated seconds per run"}}, {"json"});
   int seconds = static_cast<int>(args.Positional("seconds"));
   auto wall_start = std::chrono::steady_clock::now();
   auto demand = [](double) { return kSaturationRps; };

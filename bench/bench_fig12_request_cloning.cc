@@ -123,7 +123,8 @@ CellResult RunCell(unsigned clone_factor, double target_util, long run_ms) {
 
 int main(int argc, char** argv) {
   using namespace nephele;
-  BenchArgs args(argc, argv, {{"ms_per_run", 3000, "simulated milliseconds per (d, util) cell"}});
+  BenchArgs args(argc, argv, {{"ms_per_run", 3000, "simulated milliseconds per (d, util) cell"}},
+                 {"json"});
   const long run_ms = args.Positional("ms_per_run");
   auto wall_start = std::chrono::steady_clock::now();
 

@@ -142,7 +142,8 @@ ScenarioResult RunScenario(std::size_t instances, unsigned clone_workers) {
 
 int main(int argc, char** argv) {
   using namespace nephele;
-  BenchArgs args(argc, argv, {{"instances", 1024, "children to place across the fabric"}});
+  BenchArgs args(argc, argv, {{"instances", 1024, "children to place across the fabric"}},
+                 {"json"});
   const std::size_t instances = static_cast<std::size_t>(args.Positional("instances"));
   auto wall_start = std::chrono::steady_clock::now();
 

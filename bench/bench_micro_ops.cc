@@ -374,7 +374,7 @@ int RunGateMode(const BenchArgs& args) {
 int main(int argc, char** argv) {
   using namespace nephele;
   std::vector<std::string> passthrough;
-  BenchArgs args(argc, argv, {}, {"suite"}, &passthrough);
+  BenchArgs args(argc, argv, {}, {"json", "suite"}, &passthrough);
   if (!args.json_path().empty()) {
     return RunGateMode(args);
   }

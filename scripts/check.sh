@@ -4,7 +4,9 @@
 #          lazy, load, cluster, ...);
 #   asan   the whole suite under ASan+UBSan;
 #   tsan   the whole suite under TSan;
-#   bench  the perf-regression gate on the plain tree.
+#   bench  the perf-regression gate on the plain tree, then a build of the
+#          perfbench driver with its manifest check (nothing else compiles
+#          perfbench/driver, so a src/ API change could break it silently).
 # Each sanitizer leg has its own build tree, so switching sanitizers never
 # forces a reconfigure of your main build.
 #
@@ -42,5 +44,8 @@ NEPHELE_DST_ROUNDS=40 run_leg tsan build-tsan -DNEPHELE_TSAN=ON
 # under the loose band (3 attempts), against scripts/bench_baseline.json.
 echo "==== [bench] scripts/bench_gate.sh ===="
 scripts/bench_gate.sh --build-dir=build
+
+echo "==== [bench] perfbench driver build + manifest check ===="
+CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py --check-manifest
 
 echo "==== all four legs passed ===="

@@ -5,14 +5,19 @@
 namespace nephele {
 
 Result<EvtchnPort> EvtchnTable::AllocPort() {
-  // Port 0 is reserved, as on Xen.
-  for (std::size_t i = 1; i < ports_.size(); ++i) {
-    if (ports_[i].state == EvtchnState::kFree) {
-      used_limit_ = std::max(used_limit_, i + 1);
-      return static_cast<EvtchnPort>(i);
-    }
+  // Port 0 is reserved, as on Xen: the hint starts at 1.
+  std::size_t i = free_hint_;
+  while (i < ports_.size() && ports_[i].state != EvtchnState::kFree) {
+    ++i;
   }
-  return ErrResourceExhausted("event channel table full");
+  if (i == ports_.size()) {
+    if (i >= max_ports_) {
+      return ErrResourceExhausted("event channel table full");
+    }
+    ports_.emplace_back();
+  }
+  free_hint_ = i + 1;
+  return static_cast<EvtchnPort>(i);
 }
 
 Result<EvtchnPort> EvtchnTable::AllocUnbound(DomId remote) {
@@ -27,7 +32,7 @@ Result<EvtchnPort> EvtchnTable::AllocUnbound(DomId remote) {
 }
 
 Status EvtchnTable::BindInterdomain(EvtchnPort port, DomId remote_dom, EvtchnPort remote_port) {
-  if (port >= ports_.size() || ports_[port].state == EvtchnState::kFree) {
+  if (!ValidPort(port)) {
     return ErrNotFound("port not allocated");
   }
   EvtchnEntry& e = ports_[port];
@@ -42,10 +47,8 @@ Status EvtchnTable::BindInterdomain(EvtchnPort port, DomId remote_dom, EvtchnPor
 
 Result<EvtchnPort> EvtchnTable::BindVirq(Virq virq) {
   // One binding per VIRQ per domain.
-  for (std::size_t i = 1; i < ports_.size(); ++i) {
-    if (ports_[i].state == EvtchnState::kVirq && ports_[i].virq == virq) {
-      return ErrAlreadyExists("virq already bound");
-    }
+  if (FindVirqPort(virq).ok()) {
+    return ErrAlreadyExists("virq already bound");
   }
   NEPHELE_ASSIGN_OR_RETURN(EvtchnPort port, AllocPort());
   EvtchnEntry& e = ports_[port];
@@ -56,10 +59,11 @@ Result<EvtchnPort> EvtchnTable::BindVirq(Virq virq) {
 }
 
 Status EvtchnTable::Close(EvtchnPort port) {
-  if (port >= ports_.size() || ports_[port].state == EvtchnState::kFree) {
+  if (!ValidPort(port)) {
     return ErrNotFound("port not allocated");
   }
   ports_[port] = EvtchnEntry{};
+  free_hint_ = std::min<std::size_t>(free_hint_, port);
   return Status::Ok();
 }
 
@@ -82,13 +86,18 @@ std::size_t EvtchnTable::active_ports() const {
   return n;
 }
 
+const EvtchnEntry& EvtchnTable::entry(EvtchnPort port) const {
+  static const EvtchnEntry kFree;
+  return port < ports_.size() ? ports_[port] : kFree;
+}
+
 EvtchnTable EvtchnTable::CloneForChild() const {
-  EvtchnTable child(ports_.size());
-  for (std::size_t i = 0; i < ports_.size(); ++i) {
-    child.ports_[i] = ports_[i];
-    child.ports_[i].pending = false;
+  EvtchnTable child(max_ports_);
+  child.ports_ = ports_;
+  for (EvtchnEntry& e : child.ports_) {
+    e.pending = false;
   }
-  child.used_limit_ = used_limit_;
+  child.free_hint_ = free_hint_;
   return child;
 }
 

@@ -2,6 +2,10 @@
 // Channels bind either to a (remote domain, remote port) pair, to a VIRQ, or
 // sit unbound waiting for a peer. Nephele adds binding to kDomChild: such
 // channels are implicitly connected to every clone at clone time (Sec. 5.2.2).
+//
+// The table is sized by use, like GrantTable: ports exist only up to one
+// past the highest port ever allocated, growing on demand up to the
+// configured cap and never shrinking.
 
 #ifndef SRC_HYPERVISOR_EVENT_CHANNEL_H_
 #define SRC_HYPERVISOR_EVENT_CHANNEL_H_
@@ -34,9 +38,9 @@ struct EvtchnEntry {
 
 class EvtchnTable {
  public:
-  explicit EvtchnTable(std::size_t max_ports = 1024) : ports_(max_ports) {}
+  explicit EvtchnTable(std::size_t max_ports = 1024) : max_ports_(max_ports) {}
 
-  std::size_t max_ports() const { return ports_.size(); }
+  std::size_t max_ports() const { return max_ports_; }
 
   // Allocates an unbound port that `remote` may later bind to. `remote` may
   // be kDomChild (IDC).
@@ -52,7 +56,9 @@ class EvtchnTable {
 
   Result<EvtchnPort> FindVirqPort(Virq virq) const;
 
-  const EvtchnEntry& entry(EvtchnPort port) const { return ports_[port]; }
+  // Any port may be read; one at or above used_port_limit() reads as free.
+  const EvtchnEntry& entry(EvtchnPort port) const;
+  // Requires port < used_port_limit().
   EvtchnEntry& mutable_entry(EvtchnPort port) { return ports_[port]; }
   bool ValidPort(EvtchnPort port) const {
     return port < ports_.size() && ports_[port].state != EvtchnState::kFree;
@@ -61,19 +67,22 @@ class EvtchnTable {
   std::size_t active_ports() const;
 
   // One past the highest port ever allocated (monotone). Ports at or above
-  // this are guaranteed kFree, so table sweeps (peer scrubbing on close and
-  // domain destruction, the invariant checks) can stop early instead of
+  // this are guaranteed kFree, so table sweeps (unpause delivery, IDC
+  // fix-ups, peer scrubbing, the invariant checks) stop here instead of
   // walking all max_ports() entries.
-  std::size_t used_port_limit() const { return used_limit_; }
+  std::size_t used_port_limit() const { return ports_.size(); }
 
-  // Clone first stage: duplicate the table for a child.
+  // Clone first stage: duplicate the used prefix of the table for a child,
+  // which keeps the parent's cap.
   EvtchnTable CloneForChild() const;
 
  private:
   Result<EvtchnPort> AllocPort();
 
-  std::vector<EvtchnEntry> ports_;
-  std::size_t used_limit_ = 1;  // port 0 is reserved
+  std::vector<EvtchnEntry> ports_ = std::vector<EvtchnEntry>(1);  // port 0 is reserved
+  std::size_t max_ports_;
+  // No free port below this one: allocation starts its search here.
+  std::size_t free_hint_ = 1;
 };
 
 }  // namespace nephele

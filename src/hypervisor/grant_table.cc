@@ -5,18 +5,25 @@
 namespace nephele {
 
 Result<GrantRef> GrantTable::GrantAccess(DomId grantee, Gfn gfn, bool readonly) {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].in_use) {
-      entries_[i] = GrantEntry{/*in_use=*/true, grantee, gfn, readonly, /*map_count=*/0};
-      ++active_;
-      return static_cast<GrantRef>(i);
-    }
+  std::size_t i = free_hint_;
+  while (i < entries_.size() && entries_[i].in_use) {
+    ++i;
   }
-  return ErrResourceExhausted("grant table full");
+  if (i == entries_.size()) {
+    if (i >= max_entries_) {
+      return ErrResourceExhausted("grant table full");
+    }
+    entries_.emplace_back();
+  }
+  entries_[i] = GrantEntry{/*in_use=*/true, grantee, gfn, readonly, /*map_count=*/0,
+                           /*mappers=*/{}};
+  ++active_;
+  free_hint_ = i + 1;
+  return static_cast<GrantRef>(i);
 }
 
 Status GrantTable::EndAccess(GrantRef ref) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!InUse(ref)) {
     return ErrNotFound("grant ref not in use");
   }
   if (entries_[ref].map_count != 0) {
@@ -24,11 +31,12 @@ Status GrantTable::EndAccess(GrantRef ref) {
   }
   entries_[ref] = GrantEntry{};
   --active_;
+  free_hint_ = std::min<std::size_t>(free_hint_, ref);
   return Status::Ok();
 }
 
 Result<Gfn> GrantTable::Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_granter) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!InUse(ref)) {
     return ErrNotFound("grant ref not in use");
   }
   GrantEntry& e = entries_[ref];
@@ -43,7 +51,7 @@ Result<Gfn> GrantTable::Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_
 }
 
 Status GrantTable::Unmap(GrantRef ref, DomId mapper) {
-  if (ref >= entries_.size() || !entries_[ref].in_use) {
+  if (!InUse(ref)) {
     return ErrNotFound("grant ref not in use");
   }
   GrantEntry& e = entries_[ref];
@@ -59,16 +67,23 @@ Status GrantTable::Unmap(GrantRef ref, DomId mapper) {
   return Status::Ok();
 }
 
+const GrantEntry& GrantTable::entry(GrantRef ref) const {
+  static const GrantEntry kFree;
+  return ref < entries_.size() ? entries_[ref] : kFree;
+}
+
 GrantTable GrantTable::CloneForChild() const {
-  GrantTable child(entries_.size());
+  GrantTable child(max_entries_);
+  child.entries_.resize(entries_.size());
   for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].in_use) {
-      child.entries_[i] = entries_[i];
-      child.entries_[i].map_count = 0;
-      child.entries_[i].mappers.clear();
+    const GrantEntry& e = entries_[i];
+    if (e.in_use) {
+      child.entries_[i] = GrantEntry{e.in_use, e.grantee, e.gfn, e.readonly,
+                                     /*map_count=*/0, /*mappers=*/{}};
       ++child.active_;
     }
   }
+  child.free_hint_ = free_hint_;
   return child;
 }
 

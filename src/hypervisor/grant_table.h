@@ -2,6 +2,11 @@
 // domains. Nephele extends the interface with the DOMID_CHILD wildcard
 // (Sec. 5.1): grants made to kDomChild are valid for every future clone of
 // the granting domain.
+//
+// The table is sized by use: entries exist only up to one past the highest
+// ref ever handed out (the used limit), growing on demand up to the
+// configured cap and never shrinking. Refs above the used limit read as
+// free, so every sweep stops at used_limit() instead of max_entries().
 
 #ifndef SRC_HYPERVISOR_GRANT_TABLE_H_
 #define SRC_HYPERVISOR_GRANT_TABLE_H_
@@ -32,12 +37,16 @@ struct GrantEntry {
 
 class GrantTable {
  public:
-  explicit GrantTable(std::size_t max_entries = 1024) : entries_(max_entries) {}
+  explicit GrantTable(std::size_t max_entries = 1024) : max_entries_(max_entries) {}
 
-  std::size_t max_entries() const { return entries_.size(); }
+  std::size_t max_entries() const { return max_entries_; }
   std::size_t active_entries() const { return active_; }
 
-  // Grants `grantee` access to `gfn`. Returns the grant reference.
+  // One past the highest ref ever allocated (monotone). Refs at or above
+  // this are guaranteed free.
+  std::size_t used_limit() const { return entries_.size(); }
+
+  // Grants `grantee` access to `gfn`. Returns the lowest free grant ref.
   Result<GrantRef> GrantAccess(DomId grantee, Gfn gfn, bool readonly);
 
   // Revokes a grant. Fails while mappings are outstanding.
@@ -53,17 +62,24 @@ class GrantTable {
   // unmapped, kPermissionDenied when it is mapped but not by `mapper`.
   Status Unmap(GrantRef ref, DomId mapper);
 
-  const GrantEntry& entry(GrantRef ref) const { return entries_[ref]; }
+  // Any ref may be read; one at or above used_limit() reads as free.
+  const GrantEntry& entry(GrantRef ref) const;
+  // Requires ref < used_limit().
   GrantEntry& mutable_entry(GrantRef ref) { return entries_[ref]; }
 
-  // Deep copy used by the clone first stage: the child inherits all entries.
-  // Wildcard (kDomChild) entries stay wildcards in the child so that
-  // grandchildren work; map counts reset.
+  // Copy used by the clone first stage: the child inherits every in-use
+  // entry and the parent's cap. Wildcard (kDomChild) entries stay wildcards
+  // in the child so that grandchildren work; map counts reset.
   GrantTable CloneForChild() const;
 
  private:
+  bool InUse(GrantRef ref) const { return ref < entries_.size() && entries_[ref].in_use; }
+
   std::vector<GrantEntry> entries_;
+  std::size_t max_entries_;
   std::size_t active_ = 0;
+  // No free entry below this index: allocation starts its search here.
+  std::size_t free_hint_ = 0;
 };
 
 }  // namespace nephele

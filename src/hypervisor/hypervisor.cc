@@ -112,7 +112,7 @@ void Hypervisor::ScrubGrantMappings(Domain& d) {
   d.grant_maps.clear();
   // ... and the mappings others hold into the dying domain's table (their
   // mapper-side records would otherwise dangle).
-  for (GrantRef ref = 0; ref < d.grants.max_entries(); ++ref) {
+  for (GrantRef ref = 0; ref < d.grants.used_limit(); ++ref) {
     GrantEntry& e = d.grants.mutable_entry(ref);
     if (!e.in_use) {
       continue;
@@ -242,7 +242,7 @@ Status Hypervisor::UnpauseDomain(DomId dom) {
   d->state = DomainState::kRunning;
   // Deliver upcalls for events that fired while the domain was paused (the
   // pending bits survive the pause, as on real Xen).
-  for (EvtchnPort port = 1; port < d->evtchns.max_ports(); ++port) {
+  for (EvtchnPort port = 1; port < d->evtchns.used_port_limit(); ++port) {
     if (d->evtchns.ValidPort(port) && d->evtchns.entry(port).pending) {
       loop_.Post(SimDuration::Micros(2), [this, dom, port] {
         Domain* rd = FindDomain(dom);
@@ -655,17 +655,20 @@ Result<EvtchnPort> Hypervisor::EvtchnBindInterdomain(DomId dom, DomId remote,
   if (!r->evtchns.ValidPort(remote_port)) {
     return ErrNotFound("remote port not allocated");
   }
-  EvtchnEntry& re = r->evtchns.mutable_entry(remote_port);
-  if (re.state != EvtchnState::kUnbound) {
+  const EvtchnEntry& pre = r->evtchns.entry(remote_port);
+  if (pre.state != EvtchnState::kUnbound) {
     return ErrFailedPrecondition("remote port not unbound");
   }
-  bool allowed = re.remote_dom == dom ||
-                 (re.remote_dom == kDomChild && IsDescendantOf(dom, remote));
+  bool allowed = pre.remote_dom == dom ||
+                 (pre.remote_dom == kDomChild && IsDescendantOf(dom, remote));
   if (!allowed) {
     return ErrPermissionDenied("port reserved for another domain");
   }
   NEPHELE_ASSIGN_OR_RETURN(EvtchnPort port, d->evtchns.AllocUnbound(remote));
   NEPHELE_RETURN_IF_ERROR(d->evtchns.BindInterdomain(port, remote, remote_port));
+  // Looked up again: for a self-binding (d == r) the allocation above may
+  // have grown the table under the first reference.
+  EvtchnEntry& re = r->evtchns.mutable_entry(remote_port);
   re.state = EvtchnState::kInterdomain;
   re.remote_dom = dom;
   re.remote_port = port;
@@ -703,10 +706,11 @@ Status Hypervisor::EvtchnSend(DomId dom, EvtchnPort port) {
   if (e.remote_port >= remote->evtchns.max_ports()) {
     return ErrFailedPrecondition("remote port out of range");
   }
-  EvtchnEntry& re = remote->evtchns.mutable_entry(e.remote_port);
-  if (re.state != EvtchnState::kInterdomain) {
+  if (!remote->evtchns.ValidPort(e.remote_port) ||
+      remote->evtchns.entry(e.remote_port).state != EvtchnState::kInterdomain) {
     return ErrFailedPrecondition("remote port not connected");
   }
+  EvtchnEntry& re = remote->evtchns.mutable_entry(e.remote_port);
   re.pending = true;
   DomId remote_id = remote->id;
   EvtchnPort remote_port = e.remote_port;

@@ -148,7 +148,7 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
   std::map<std::tuple<DomId, DomId, GrantRef>, std::uint64_t> mapper_side;
   for (DomId id : hv.DomainIds()) {
     const Domain* d = hv.FindDomain(id);
-    for (GrantRef ref = 0; ref < d->grants.max_entries(); ++ref) {
+    for (GrantRef ref = 0; ref < d->grants.used_limit(); ++ref) {
       const GrantEntry& e = d->grants.entry(ref);
       if (!e.in_use) {
         if (e.map_count != 0 || !e.mappers.empty()) {
@@ -179,7 +179,7 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
       if (g == nullptr) {
         return "dom " + DomStr(id) + " holds a mapping into dead granter " + DomStr(granter);
       }
-      if (ref >= g->grants.max_entries() || !g->grants.entry(ref).in_use) {
+      if (!g->grants.entry(ref).in_use) {
         return "dom " + DomStr(id) + " holds a mapping of revoked grant " + DomStr(granter) +
                ":" + std::to_string(ref);
       }

@@ -1,6 +1,7 @@
-// The bench JSON schema and the perf-regression gate's comparison logic
-// (bench/bench_json.h, bench/bench_gate.h) — exercised in-process, without
-// spawning bench binaries.
+// The bench JSON schema, the perf-regression gate's comparison logic and the
+// --json flag contract (bench/bench_json.h, bench/bench_gate.h,
+// bench/bench_args.h) — exercised in-process, without spawning bench
+// binaries.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_args.h"
 #include "bench/bench_gate.h"
 #include "bench/bench_json.h"
 #include "src/obs/json.h"
@@ -182,6 +184,30 @@ TEST(BenchGateTest, RecordBaselineRoundTripsDeterministically) {
   EXPECT_EQ(benches->members[1].first, "b_fig");
   std::string again = BaselineOf({WallDoc("a_micro", 10.0), SimDoc("b_fig", 5.0)});
   EXPECT_EQ(baseline, again);
+}
+
+// Parses a bench command line through BenchArgs, as a bench's main() would.
+BenchArgs ParseBenchArgs(std::vector<std::string> args, std::vector<std::string> allowed_flags) {
+  std::vector<char*> argv;
+  for (std::string& a : args) {
+    argv.push_back(a.data());
+  }
+  return BenchArgs(static_cast<int>(argv.size()), argv.data(), {{"n", 7, "size"}},
+                   std::move(allowed_flags));
+}
+
+TEST(BenchArgsTest, JsonToABenchThatWritesNoneExitsTwo) {
+  EXPECT_EXIT(ParseBenchArgs({"bench", "--json=out.json"}, {}), ::testing::ExitedWithCode(2),
+              "unknown flag --json");
+  EXPECT_EXIT(ParseBenchArgs({"bench", "3", "--json=out.json"}, {"suite"}),
+              ::testing::ExitedWithCode(2), "unknown flag --json");
+}
+
+TEST(BenchArgsTest, JsonToABenchThatWritesItNamesThePath) {
+  BenchArgs args = ParseBenchArgs({"bench", "3", "--json=out.json"}, {"json"});
+  EXPECT_EQ(args.json_path(), "out.json");
+  EXPECT_EQ(args.Positional("n"), 3);
+  EXPECT_EQ(ParseBenchArgs({"bench"}, {"json"}).json_path(), "");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/hypervisor/hypervisor.h"
 
 namespace nephele {
@@ -212,10 +214,33 @@ TEST_F(HypervisorTest, VirqRoundTrip) {
   ASSERT_TRUE(hv_.RaiseVirq(kDom0, Virq::kCloned).ok());
   loop_.Run();
   EXPECT_EQ(fired, *port);
+  // One binding per VIRQ per domain.
+  EXPECT_EQ(hv_.EvtchnBindVirq(kDom0, Virq::kCloned).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST_F(HypervisorTest, VirqWithoutBindingFails) {
   EXPECT_EQ(hv_.RaiseVirq(kDom0, Virq::kCloned).code(), StatusCode::kNotFound);
+}
+
+TEST_F(HypervisorTest, HypercallsNamingAnUnknownDomainFailNotFound) {
+  constexpr DomId kNoSuchDomain = 999;
+  EXPECT_EQ(hv_.PauseDomain(kNoSuchDomain).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.UnpauseDomain(kNoSuchDomain).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.SetDomainName(kNoSuchDomain, "x").code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.PopulatePhysmap(kNoSuchDomain, 1, PageRole::kData).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(hv_.BuildPageTables(kNoSuchDomain).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.ForceCowResolve(kNoSuchDomain, 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.SetDirtyLogging(kNoSuchDomain, true).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.FetchAndResetDirtyLog(kNoSuchDomain).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.EvtchnBindVirq(kNoSuchDomain, Virq::kTimer).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(hv_.RaiseVirq(kNoSuchDomain, Virq::kTimer).code(), StatusCode::kNotFound);
+  // A known domain with a gfn past its p2m is out of range, not unknown.
+  auto dom = hv_.CreateDomain("a", 1);
+  ASSERT_TRUE(hv_.PopulatePhysmap(*dom, 1, PageRole::kData).ok());
+  EXPECT_EQ(hv_.ForceCowResolve(*dom, 1).code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(HypervisorTest, FamilyRelations) {
@@ -250,6 +275,184 @@ TEST_F(HypervisorTest, HypercallsAreCounted) {
   hv_.ChargeHypercall();
   hv_.ChargeHypercall();
   EXPECT_EQ(hv_.hypercall_count(), before + 2);
+}
+
+// Grant and event-channel tables are sized by use under a configured cap.
+// A cap of 8 makes the boundary cheap to reach.
+class UseSizedTablesTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kCap = 8;
+
+  UseSizedTablesTest() : hv_(loop_, DefaultCostModel(), TinyTablesConfig()) {}
+
+  static HypervisorConfig TinyTablesConfig() {
+    HypervisorConfig cfg;
+    cfg.pool_frames = 1024;
+    cfg.grant_entries_per_domain = kCap;
+    cfg.evtchn_ports_per_domain = kCap;
+    return cfg;
+  }
+
+  // A granter with one data page, ready to grant it.
+  DomId Granter() {
+    auto d = hv_.CreateDomain("g", 1);
+    EXPECT_TRUE(hv_.PopulatePhysmap(*d, 1, PageRole::kData).ok());
+    return *d;
+  }
+
+  EventLoop loop_;
+  Hypervisor hv_;
+};
+
+TEST_F(UseSizedTablesTest, GrantReusesTheLowestFreeRef) {
+  DomId g = Granter();
+  for (GrantRef want = 0; want < 5; ++want) {
+    EXPECT_EQ(*hv_.GrantAccess(g, kDom0, 0, false), want);
+  }
+  ASSERT_TRUE(hv_.EndGrantAccess(g, 3).ok());
+  ASSERT_TRUE(hv_.EndGrantAccess(g, 1).ok());
+  EXPECT_EQ(*hv_.GrantAccess(g, kDom0, 0, false), 1u);
+  EXPECT_EQ(*hv_.GrantAccess(g, kDom0, 0, false), 3u);
+  EXPECT_EQ(*hv_.GrantAccess(g, kDom0, 0, false), 5u);
+  EXPECT_EQ(hv_.FindDomain(g)->grants.used_limit(), 6u);
+}
+
+TEST_F(UseSizedTablesTest, EvtchnReusesTheLowestFreePort) {
+  auto d = hv_.CreateDomain("d", 1);
+  for (EvtchnPort want = 1; want <= 4; ++want) {
+    EXPECT_EQ(*hv_.EvtchnAllocUnbound(*d, kDom0), want);
+  }
+  ASSERT_TRUE(hv_.EvtchnClose(*d, 4).ok());
+  ASSERT_TRUE(hv_.EvtchnClose(*d, 2).ok());
+  EXPECT_EQ(*hv_.EvtchnAllocUnbound(*d, kDom0), 2u);
+  EXPECT_EQ(*hv_.EvtchnAllocUnbound(*d, kDom0), 4u);
+  EXPECT_EQ(*hv_.EvtchnAllocUnbound(*d, kDom0), 5u);
+  EXPECT_EQ(hv_.FindDomain(*d)->evtchns.used_port_limit(), 6u);
+}
+
+TEST_F(UseSizedTablesTest, GrantTableExhaustsAtTheCapAlsoInAClone) {
+  DomId g = Granter();
+  for (std::size_t i = 0; i < kCap; ++i) {
+    ASSERT_TRUE(hv_.GrantAccess(g, kDomChild, 0, false).ok()) << i;
+  }
+  EXPECT_EQ(hv_.GrantAccess(g, kDom0, 0, false).status().code(),
+            StatusCode::kResourceExhausted);
+  const GrantTable& parent = hv_.FindDomain(g)->grants;
+  EXPECT_EQ(parent.used_limit(), kCap);
+
+  GrantTable child = parent.CloneForChild();
+  EXPECT_EQ(child.max_entries(), kCap);
+  EXPECT_EQ(child.active_entries(), kCap);
+  EXPECT_EQ(child.GrantAccess(kDom0, 0, false).status().code(),
+            StatusCode::kResourceExhausted);
+  ASSERT_TRUE(child.EndAccess(6).ok());
+  EXPECT_EQ(*child.GrantAccess(kDom0, 0, false), 6u);
+  EXPECT_EQ(child.GrantAccess(kDom0, 0, false).status().code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST_F(UseSizedTablesTest, EvtchnTableExhaustsAtTheCapAlsoInAClone) {
+  auto d = hv_.CreateDomain("d", 1);
+  // Port 0 is reserved, so a cap of 8 leaves ports 1..7.
+  for (std::size_t i = 1; i < kCap; ++i) {
+    ASSERT_TRUE(hv_.EvtchnAllocUnbound(*d, kDomChild).ok()) << i;
+  }
+  EXPECT_EQ(hv_.EvtchnAllocUnbound(*d, kDom0).status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(hv_.EvtchnBindVirq(*d, Virq::kTimer).status().code(),
+            StatusCode::kResourceExhausted);
+  const EvtchnTable& parent = hv_.FindDomain(*d)->evtchns;
+  EXPECT_EQ(parent.used_port_limit(), kCap);
+
+  EvtchnTable child = parent.CloneForChild();
+  EXPECT_EQ(child.max_ports(), kCap);
+  EXPECT_EQ(child.active_ports(), kCap - 1);
+  EXPECT_EQ(child.AllocUnbound(kDom0).status().code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(child.Close(3).ok());
+  EXPECT_EQ(*child.AllocUnbound(kDom0), 3u);
+  EXPECT_EQ(child.AllocUnbound(kDom0).status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(UseSizedTablesTest, EntriesAboveTheUsedLimitReadAsFree) {
+  DomId g = Granter();
+  ASSERT_TRUE(hv_.GrantAccess(g, kDom0, 0, true).ok());
+  ASSERT_TRUE(hv_.EvtchnAllocUnbound(g, kDom0).ok());
+  const Domain* d = hv_.FindDomain(g);
+  ASSERT_EQ(d->grants.used_limit(), 1u);
+  ASSERT_EQ(d->evtchns.used_port_limit(), 2u);
+  for (std::uint32_t i : {2u, 5u, static_cast<std::uint32_t>(kCap) - 1, 1000u}) {
+    const GrantEntry& ge = d->grants.entry(i);
+    EXPECT_FALSE(ge.in_use) << i;
+    EXPECT_EQ(ge.grantee, kDomInvalid) << i;
+    EXPECT_EQ(ge.map_count, 0u) << i;
+    EXPECT_TRUE(ge.mappers.empty()) << i;
+    const EvtchnEntry& ee = d->evtchns.entry(i);
+    EXPECT_EQ(ee.state, EvtchnState::kFree) << i;
+    EXPECT_FALSE(ee.pending) << i;
+    EXPECT_FALSE(d->evtchns.ValidPort(i)) << i;
+  }
+  EXPECT_EQ(hv_.MapGrant(kDom0, g, 5).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.EndGrantAccess(g, 5).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.EvtchnSend(g, 5).code(), StatusCode::kNotFound);
+  EXPECT_EQ(hv_.EvtchnClose(g, 5).code(), StatusCode::kNotFound);
+  // Reading never grows the tables.
+  EXPECT_EQ(d->grants.used_limit(), 1u);
+  EXPECT_EQ(d->evtchns.used_port_limit(), 2u);
+}
+
+TEST_F(UseSizedTablesTest, SendToARemotePortAboveItsUsedLimitFails) {
+  auto a = hv_.CreateDomain("a", 1);
+  auto b = hv_.CreateDomain("b", 1);
+  auto port_a = hv_.EvtchnAllocUnbound(*a, *b);
+  auto port_b = hv_.EvtchnBindInterdomain(*b, *a, *port_a);
+  ASSERT_TRUE(port_b.ok());
+  ASSERT_EQ(hv_.FindDomain(*b)->evtchns.used_port_limit(), 2u);
+  // Point a's connected end at a port of b in the gap between b's used
+  // limit and its cap, then past the cap: neither may touch b's table.
+  EvtchnEntry& ea = hv_.FindDomain(*a)->evtchns.mutable_entry(*port_a);
+  for (EvtchnPort gap : {EvtchnPort{5}, static_cast<EvtchnPort>(kCap) - 1,
+                         static_cast<EvtchnPort>(kCap), EvtchnPort{4096}}) {
+    ea.remote_port = gap;
+    EXPECT_EQ(hv_.EvtchnSend(*a, *port_a).code(), StatusCode::kFailedPrecondition) << gap;
+    EXPECT_EQ(hv_.FindDomain(*b)->evtchns.used_port_limit(), 2u);
+  }
+  EXPECT_FALSE(hv_.FindDomain(*b)->evtchns.entry(*port_b).pending);
+}
+
+TEST_F(UseSizedTablesTest, PendingOnTheHighestUsedPortIsDeliveredOnUnpause) {
+  auto a = hv_.CreateDomain("a", 1);
+  auto b = hv_.CreateDomain("b", 1);
+  ASSERT_TRUE(hv_.UnpauseDomain(*a).ok());
+  // b holds three reservations for a; only the last (highest) connects.
+  EvtchnPort highest = kInvalidPort;
+  for (int i = 0; i < 3; ++i) {
+    highest = *hv_.EvtchnAllocUnbound(*b, *a);
+  }
+  auto port_a = hv_.EvtchnBindInterdomain(*a, *b, highest);
+  ASSERT_TRUE(port_a.ok());
+  ASSERT_EQ(hv_.FindDomain(*b)->evtchns.used_port_limit(), highest + 1);
+  std::vector<EvtchnPort> fired;
+  hv_.SetEvtchnHandler(*b, [&](EvtchnPort p) { fired.push_back(p); });
+  ASSERT_TRUE(hv_.EvtchnSend(*a, *port_a).ok());
+  loop_.Run();
+  EXPECT_TRUE(fired.empty());  // b is still paused
+  ASSERT_TRUE(hv_.UnpauseDomain(*b).ok());
+  loop_.Run();
+  EXPECT_EQ(fired, std::vector<EvtchnPort>{highest});
+  EXPECT_FALSE(hv_.FindDomain(*b)->evtchns.entry(highest).pending);
+}
+
+TEST_F(UseSizedTablesTest, SelfBindingThatGrowsTheTableConnectsBothEnds) {
+  // Binding to one's own unbound port allocates in the same table the
+  // remote end lives in; the growth must not lose the remote end's update.
+  auto d = hv_.CreateDomain("d", 1);
+  auto reserved = hv_.EvtchnAllocUnbound(*d, *d);
+  auto port = hv_.EvtchnBindInterdomain(*d, *d, *reserved);
+  ASSERT_TRUE(port.ok());
+  const EvtchnTable& t = hv_.FindDomain(*d)->evtchns;
+  EXPECT_EQ(t.entry(*reserved).state, EvtchnState::kInterdomain);
+  EXPECT_EQ(t.entry(*reserved).remote_port, *port);
+  EXPECT_EQ(t.entry(*port).state, EvtchnState::kInterdomain);
+  EXPECT_EQ(t.entry(*port).remote_port, *reserved);
 }
 
 }  // namespace
