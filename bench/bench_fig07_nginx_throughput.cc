@@ -8,13 +8,18 @@
 //    vifs — the full Nephele datapath.
 // A wrk-like closed-loop generator keeps 400 connections per worker open.
 //
-// Usage: bench_fig07_nginx_throughput [repetitions] [seconds]
-//        (defaults 5 reps x 2 s; the paper used 30 x 5 s)
+// Usage: bench_fig07_nginx_throughput [repetitions] [seconds] [--json=PATH]
+//        (defaults 5 reps x 2 s; the paper used 30 x 5 s). With --json=PATH
+//        the 1- and 4-worker throughputs, the 4-worker clones-vs-processes
+//        ratio and the host wall time land in a BenchJsonWriter document for
+//        the perf-regression gate.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench/bench_args.h"
+#include "bench/bench_json.h"
 #include "src/apps/nginx_app.h"
 #include "src/baseline/linux_process.h"
 #include "src/guest/guest_manager.h"
@@ -127,8 +132,11 @@ double MeasureProcesses(unsigned workers, int seconds, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace nephele;
-  BenchArgs args(argc, argv, {{"reps", 5, "repetitions per worker count"},
-                              {"seconds", 2, "simulated seconds per run"}});
+  auto wall_start = std::chrono::steady_clock::now();
+  BenchArgs args(argc, argv,
+                 {{"reps", 5, "repetitions per worker count"},
+                  {"seconds", 2, "simulated seconds per run"}},
+                 {"json"});
   int reps = static_cast<int>(args.Positional("reps"));
   int seconds = static_cast<int>(args.Positional("seconds"));
 
@@ -157,5 +165,22 @@ int main(int argc, char** argv) {
   PrintSummary("process scaling 1->4 workers", proc4 / proc1, "x");
   PrintSummary("clone scaling 1->4 workers", clone4 / clone1, "x");
   PrintSummary("clones vs processes at 4 workers", clone4 / proc4, "x");
+
+  if (!args.json_path().empty()) {
+    double wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - wall_start)
+                         .count();
+    BenchJsonWriter json("fig07");
+    json.Add("clone_rps_1w", clone1, "req_per_sec", MetricDir::kHigherIsBetter, MetricKind::kSim);
+    json.Add("clone_rps_4w", clone4, "req_per_sec", MetricDir::kHigherIsBetter, MetricKind::kSim);
+    json.Add("process_rps_1w", proc1, "req_per_sec", MetricDir::kHigherIsBetter,
+             MetricKind::kSim);
+    json.Add("process_rps_4w", proc4, "req_per_sec", MetricDir::kHigherIsBetter,
+             MetricKind::kSim);
+    json.Add("clone_vs_process_4w_x", clone4 / proc4, "x", MetricDir::kHigherIsBetter,
+             MetricKind::kSim);
+    json.Add("host_wall_ms", wall_ms, "ms", MetricDir::kLowerIsBetter, MetricKind::kWall);
+    return json.WriteFile(args.json_path()) ? 0 : 1;
+  }
   return 0;
 }

@@ -4,10 +4,11 @@
 // figures benches. Useful for keeping the 1000-instance sweeps fast.
 //
 // With --json=PATH the binary skips google-benchmark and runs the gate's
-// fixed op set instead (--suite=clone | sched), writing a BenchJsonWriter
-// document: per-op wall ms and ops/sec for serial stage 1, the 64-child
-// batch at 1 and 4 staging threads, scheduler cold dispatch and warm-pool
-// hits. Any other flag is passed through to google-benchmark.
+// fixed op set instead (--suite=clone | sched | loop), writing a
+// BenchJsonWriter document: per-op wall ms and ops/sec for serial stage 1,
+// the 64-child batch at 1 and 4 staging threads, scheduler cold dispatch and
+// warm-pool hits, event-loop post/run churn and guest flow-table lookups.
+// Any other flag is passed through to google-benchmark.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +22,10 @@
 #include "src/apps/udp_ready_app.h"
 #include "src/guest/guest_manager.h"
 #include "src/guest/ipc.h"
+#include "src/guest/ministack.h"
 #include "src/sched/scheduler.h"
+#include "src/sim/event_loop.h"
+#include "src/sim/rng.h"
 
 namespace nephele {
 namespace {
@@ -201,7 +205,7 @@ void BM_IdcPipeRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_IdcPipeRoundTrip);
 
 // ---------------------------------------------------------------------
-// Gate mode (--json=PATH --suite=clone|sched): a fixed op set measured
+// Gate mode (--json=PATH --suite=clone|sched|loop): a fixed op set measured
 // with plain steady_clock loops — small, reproducible op counts rather
 // than google-benchmark's adaptive iteration, so a run takes ~a second.
 // ---------------------------------------------------------------------
@@ -338,6 +342,63 @@ OpTiming MeasureSchedulerRoundTrip(std::size_t warm_pool_capacity, int iters) {
   return TimeOps(iters, round);
 }
 
+// Event-loop post/run churn at the NGINX datapath's depth (4 workers x 400
+// connections = 1600 pending events): every event re-posts itself a few
+// microseconds ahead, like a packet hop. Returns events per second.
+double MeasureLoopChurn(std::size_t pending, std::size_t total_events) {
+  EventLoop loop;
+  Rng rng(7);
+  std::size_t posted = 0;
+  struct Hop {
+    EventLoop* loop;
+    Rng* rng;
+    std::size_t* posted;
+    std::size_t total;
+    void operator()() const {
+      if (*posted < total) {
+        ++*posted;
+        loop->Post(SimDuration::Nanos(3000 + static_cast<std::int64_t>(rng->NextBelow(64))),
+                   *this);
+      }
+    }
+  };
+  for (std::size_t i = 0; i < pending; ++i) {
+    ++posted;
+    loop.Post(SimDuration::Nanos(static_cast<std::int64_t>(rng.NextBelow(500))),
+              Hop{&loop, &rng, &posted, total_events});
+  }
+  auto start = std::chrono::steady_clock::now();
+  std::size_t ran = loop.Run();
+  double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return s > 0.0 ? static_cast<double>(ran) / s : 0.0;
+}
+
+// Guest TCP data segments over `flows` established flows: each is one
+// flow-table lookup plus delivery. Returns lookups per second.
+double MeasureFlowLookups(std::uint16_t flows, std::size_t lookups) {
+  MiniStack stack(nullptr);
+  (void)stack.TcpListen(80);
+  std::size_t delivered = 0;
+  stack.SetDeliveryHandler([&delivered](const Packet&) { ++delivered; });
+  std::vector<Packet> segments(flows);
+  for (std::uint16_t c = 0; c < flows; ++c) {
+    Packet& p = segments[c];
+    p.proto = IpProto::kTcp;
+    p.src_ip = MakeIpv4(10, 8, 255, 1);
+    p.src_port = static_cast<std::uint16_t>(10000 + c);
+    p.dst_ip = MakeIpv4(10, 8, 0, 2);
+    p.dst_port = 80;
+    stack.OnFrameReceived(p);  // implicit accept
+  }
+  auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < lookups; ++i) {
+    stack.OnFrameReceived(segments[i % flows]);
+  }
+  double s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  benchmark::DoNotOptimize(delivered);
+  return s > 0.0 ? static_cast<double>(lookups) / s : 0.0;
+}
+
 int RunGateMode(const BenchArgs& args) {
   const std::string suite = args.Flag("suite", "clone");
   BenchJsonWriter json(suite);
@@ -361,8 +422,13 @@ int RunGateMode(const BenchArgs& args) {
     json.Add("warm_hit_ms", warm.ms_per_op, "ms", MetricDir::kLowerIsBetter, MetricKind::kWall);
     json.Add("warm_hit_ops_per_sec", warm.ops_per_sec, "ops_per_sec",
              MetricDir::kHigherIsBetter, MetricKind::kWall);
+  } else if (suite == "loop") {
+    json.Add("post_run_events_per_sec", MeasureLoopChurn(1600, 2'000'000), "ops_per_sec",
+             MetricDir::kHigherIsBetter, MetricKind::kWall);
+    json.Add("flow_lookups_per_sec", MeasureFlowLookups(400, 8'000'000), "ops_per_sec",
+             MetricDir::kHigherIsBetter, MetricKind::kWall);
   } else {
-    std::fprintf(stderr, "unknown --suite=%s (clone | sched)\n", suite.c_str());
+    std::fprintf(stderr, "unknown --suite=%s (clone | sched | loop)\n", suite.c_str());
     return 2;
   }
   return json.WriteFile(args.json_path()) ? 0 : 1;

@@ -44,6 +44,7 @@ mkdir -p "${OUT}"
 # virtual-time, so size only moves wall-clock.
 run_sim_benches() {
   "${BENCH}/bench_fig04_instantiation" 40 1 --json="${OUT}/BENCH_fig04.json" >/dev/null
+  "${BENCH}/bench_fig07_nginx_throughput" 1 1 --json="${OUT}/BENCH_fig07.json" >/dev/null
   "${BENCH}/bench_fig11_faas_scaling" 30 --json="${OUT}/BENCH_fig11.json" >/dev/null
   "${BENCH}/bench_fig12_request_cloning" 2000 --json="${OUT}/BENCH_fig12.json" >/dev/null
   "${BENCH}/bench_fig13_cluster_scaling" 1024 --json="${OUT}/BENCH_fig13.json" >/dev/null
@@ -53,11 +54,14 @@ run_sim_benches() {
 run_wall_benches() {
   "${BENCH}/bench_micro_ops" --json="${OUT}/BENCH_clone.json" --suite=clone
   "${BENCH}/bench_micro_ops" --json="${OUT}/BENCH_sched.json" --suite=sched
+  "${BENCH}/bench_micro_ops" --json="${OUT}/BENCH_loop.json" --suite=loop
 }
 
-CURRENTS_SIM=(--current="${OUT}/BENCH_fig04.json" --current="${OUT}/BENCH_fig11.json"
-              --current="${OUT}/BENCH_fig12.json" --current="${OUT}/BENCH_fig13.json")
-CURRENTS_WALL=(--current="${OUT}/BENCH_clone.json" --current="${OUT}/BENCH_sched.json")
+CURRENTS_SIM=(--current="${OUT}/BENCH_fig04.json" --current="${OUT}/BENCH_fig07.json"
+              --current="${OUT}/BENCH_fig11.json" --current="${OUT}/BENCH_fig12.json"
+              --current="${OUT}/BENCH_fig13.json")
+CURRENTS_WALL=(--current="${OUT}/BENCH_clone.json" --current="${OUT}/BENCH_sched.json"
+               --current="${OUT}/BENCH_loop.json")
 
 case "${MODE}" in
   record)

@@ -65,7 +65,6 @@ void MiniStack::OnFrameReceived(const Packet& packet) {
   }
   // TCP.
   FlowKey key = KeyOf(packet);
-  auto it = flows_.find(key);
   if (packet.tcp_flag == TcpFlag::kSyn) {
     if (!tcp_listen_ports_.contains(packet.dst_port)) {
       ++dropped_;
@@ -94,6 +93,7 @@ void MiniStack::OnFrameReceived(const Packet& packet) {
     flows_.erase(key);
     return;
   }
+  auto it = flows_.find(key);
   if (it == flows_.end() || !it->second.established) {
     // Data on unknown flow: accept implicitly when the port is listening
     // (generators may skip the handshake for throughput runs).

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "src/base/result.h"
 #include "src/devices/netif.h"
@@ -62,7 +62,7 @@ class MiniStack {
   DeliveryHandler deliver_;
   std::set<std::uint16_t> udp_ports_;
   std::set<std::uint16_t> tcp_listen_ports_;
-  std::map<FlowKey, TcpFlow> flows_;
+  std::unordered_map<FlowKey, TcpFlow, FlowKeyHash> flows_;
   std::uint64_t dropped_ = 0;
 };
 

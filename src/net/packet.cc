@@ -1,7 +1,5 @@
 #include "src/net/packet.h"
 
-#include <tuple>
-
 namespace nephele {
 
 std::string Ipv4ToString(Ipv4Addr addr) {

@@ -4,9 +4,9 @@
 #ifndef SRC_NET_PACKET_H_
 #define SRC_NET_PACKET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace nephele {
@@ -61,13 +61,24 @@ struct FlowKey {
   std::uint16_t dst_port = 0;
   IpProto proto = IpProto::kUdp;
 
-  friend bool operator<(const FlowKey& a, const FlowKey& b) {
-    return std::tie(a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.proto) <
-           std::tie(b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.proto);
-  }
-  friend bool operator==(const FlowKey& a, const FlowKey& b) {
-    return std::tie(a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.proto) ==
-           std::tie(b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.proto);
+  friend bool operator==(const FlowKey& a, const FlowKey& b) = default;
+};
+
+// The one hash of every flow table (guest stack, OVS group): the 5-tuple
+// packed into two words, mixed with the MurmurHash3 fmix64 finalizer. No
+// table depends on its iteration order.
+struct FlowKeyHash {
+  std::size_t operator()(const FlowKey& k) const {
+    std::uint64_t h = (static_cast<std::uint64_t>(k.src_ip) << 32) | k.dst_ip;
+    h ^= ((static_cast<std::uint64_t>(k.src_port) << 24) |
+          (static_cast<std::uint64_t>(k.dst_port) << 8) | static_cast<std::uint64_t>(k.proto)) *
+         0x9e3779b97f4a7c15ULL;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
+    return static_cast<std::size_t>(h);
   }
 };
 

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -128,10 +129,10 @@ class OvsGroup : public HostSwitch {
  private:
   std::vector<SwitchPort*> buckets_;
   Selector selector_;
-  std::map<FlowKey, std::uint64_t> flow_counts_;
+  std::unordered_map<FlowKey, std::uint64_t, FlowKeyHash> flow_counts_;
   // Least-loaded selector state: flow -> bucket assignment and per-bucket
   // active-flow counts.
-  std::map<FlowKey, std::size_t> flow_assignment_;
+  std::unordered_map<FlowKey, std::size_t, FlowKeyHash> flow_assignment_;
   std::vector<std::size_t> bucket_load_;
 };
 

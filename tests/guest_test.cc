@@ -2,6 +2,7 @@
 
 #include "src/apps/udp_ready_app.h"
 #include "src/guest/guest_manager.h"
+#include "src/guest/ministack.h"
 
 namespace nephele {
 namespace {
@@ -129,6 +130,107 @@ TEST_F(GuestTest, TcpDataToNonListeningPortDropped) {
   data.dst_port = 81;
   stack.OnFrameReceived(data);
   EXPECT_EQ(stack.packets_dropped(), 1u);
+}
+
+// --- MiniStack flow table (no vif: replies are skipped, flows still tracked) ---
+
+Packet TcpSegment(std::uint16_t src_port, std::uint16_t dst_port, TcpFlag flag) {
+  Packet p;
+  p.proto = IpProto::kTcp;
+  p.tcp_flag = flag;
+  p.src_ip = MakeIpv4(10, 8, 255, 1);
+  p.src_port = src_port;
+  p.dst_ip = MakeIpv4(10, 8, 0, 2);
+  p.dst_port = dst_port;
+  return p;
+}
+
+TEST(MiniStackFlowTable, SynDataFinLifecycle) {
+  MiniStack stack(nullptr);
+  ASSERT_TRUE(stack.TcpListen(80).ok());
+  int delivered = 0;
+  stack.SetDeliveryHandler([&](const Packet&) { ++delivered; });
+  stack.OnFrameReceived(TcpSegment(5555, 80, TcpFlag::kSyn));
+  EXPECT_EQ(stack.established_flows(), 1u);
+  EXPECT_EQ(delivered, 0);  // the handshake is the stack's own business
+  stack.OnFrameReceived(TcpSegment(5555, 80, TcpFlag::kNone));
+  stack.OnFrameReceived(TcpSegment(5555, 80, TcpFlag::kNone));
+  EXPECT_EQ(delivered, 2);
+  EXPECT_EQ(stack.established_flows(), 1u);
+  stack.OnFrameReceived(TcpSegment(5555, 80, TcpFlag::kFin));
+  EXPECT_EQ(stack.established_flows(), 0u);
+  EXPECT_EQ(stack.packets_dropped(), 0u);
+}
+
+TEST(MiniStackFlowTable, DataOnListeningPortAcceptsImplicitly) {
+  MiniStack stack(nullptr);
+  ASSERT_TRUE(stack.TcpListen(80).ok());
+  int delivered = 0;
+  stack.SetDeliveryHandler([&](const Packet&) { ++delivered; });
+  stack.OnFrameReceived(TcpSegment(6000, 80, TcpFlag::kNone));
+  stack.OnFrameReceived(TcpSegment(6001, 80, TcpFlag::kNone));
+  EXPECT_EQ(stack.established_flows(), 2u);
+  EXPECT_EQ(delivered, 2);
+  // A closed flow is accepted again on its next data segment.
+  stack.OnFrameReceived(TcpSegment(6000, 80, TcpFlag::kFin));
+  stack.OnFrameReceived(TcpSegment(6000, 80, TcpFlag::kNone));
+  EXPECT_EQ(stack.established_flows(), 2u);
+  EXPECT_EQ(delivered, 3);
+}
+
+TEST(MiniStackFlowTable, NonListeningPortDropsSynAndData) {
+  MiniStack stack(nullptr);
+  ASSERT_TRUE(stack.TcpListen(80).ok());
+  int delivered = 0;
+  stack.SetDeliveryHandler([&](const Packet&) { ++delivered; });
+  stack.OnFrameReceived(TcpSegment(7000, 81, TcpFlag::kSyn));
+  stack.OnFrameReceived(TcpSegment(7000, 81, TcpFlag::kNone));
+  EXPECT_EQ(stack.packets_dropped(), 2u);
+  EXPECT_EQ(stack.established_flows(), 0u);
+  EXPECT_EQ(delivered, 0);
+}
+
+TEST(MiniStackFlowTable, EstablishedFlowsCountsDistinctTuples) {
+  MiniStack stack(nullptr);
+  ASSERT_TRUE(stack.TcpListen(80).ok());
+  for (int round = 0; round < 3; ++round) {
+    for (std::uint16_t c = 0; c < 400; ++c) {
+      stack.OnFrameReceived(TcpSegment(static_cast<std::uint16_t>(10000 + c), 80, TcpFlag::kNone));
+    }
+  }
+  EXPECT_EQ(stack.established_flows(), 400u);
+  for (std::uint16_t c = 0; c < 400; c += 2) {
+    stack.OnFrameReceived(TcpSegment(static_cast<std::uint16_t>(10000 + c), 80, TcpFlag::kFin));
+  }
+  EXPECT_EQ(stack.established_flows(), 200u);
+  // A FIN for a flow that is not in the table changes nothing.
+  stack.OnFrameReceived(TcpSegment(9999, 80, TcpFlag::kFin));
+  EXPECT_EQ(stack.established_flows(), 200u);
+}
+
+TEST(MiniStackFlowTable, CloneFlowsDoNotAliasParent) {
+  MiniStack parent(nullptr);
+  ASSERT_TRUE(parent.TcpListen(80).ok());
+  for (std::uint16_t c = 0; c < 3; ++c) {
+    parent.OnFrameReceived(TcpSegment(static_cast<std::uint16_t>(20000 + c), 80, TcpFlag::kSyn));
+  }
+  MiniStack child(nullptr);
+  child.CopyStateFrom(parent);
+  EXPECT_TRUE(child.IsTcpListening(80));
+  EXPECT_EQ(child.established_flows(), 3u);
+
+  child.OnFrameReceived(TcpSegment(20000, 80, TcpFlag::kFin));
+  EXPECT_EQ(child.established_flows(), 2u);
+  EXPECT_EQ(parent.established_flows(), 3u);
+
+  parent.OnFrameReceived(TcpSegment(20003, 80, TcpFlag::kSyn));
+  parent.OnFrameReceived(TcpSegment(20001, 80, TcpFlag::kFin));
+  EXPECT_EQ(parent.established_flows(), 3u);
+  EXPECT_EQ(child.established_flows(), 2u);
+  // The child still holds the flow its parent closed, and not the new one.
+  child.OnFrameReceived(TcpSegment(20001, 80, TcpFlag::kFin));
+  child.OnFrameReceived(TcpSegment(20003, 80, TcpFlag::kFin));
+  EXPECT_EQ(child.established_flows(), 1u);
 }
 
 // --- Boot / restore / fork plumbing ---

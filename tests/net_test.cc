@@ -168,6 +168,49 @@ TEST(OvsGroup, CustomSelectorOverrides) {
   EXPECT_TRUE(b0.received.empty());
 }
 
+// Pins the least-loaded selector's assignments for one fixed flow
+// sequence: a new flow goes to the lowest-index bucket with the fewest
+// flows, a known flow keeps its bucket, and growing the group recounts the
+// existing assignments before new flows are placed.
+TEST(OvsGroup, LeastLoadedAssignmentsArePinned) {
+  OvsGroup group;
+  FakePort b0(0x1, 5, "b0"), b1(0x1, 5, "b1"), b2(0x1, 5, "b2"), b3(0x1, 5, "b3");
+  ASSERT_TRUE(group.Attach(&b0).ok());
+  ASSERT_TRUE(group.Attach(&b1).ok());
+  ASSERT_TRUE(group.Attach(&b2).ok());
+  group.UseLeastLoadedSelector();
+  auto inject = [&](std::initializer_list<std::uint16_t> src_ports) {
+    for (std::uint16_t port : src_ports) {
+      group.InjectFromUplink(MakeUdp(MakeIpv4(10, 8, 255, 1), port, 5, 80));
+    }
+  };
+  auto ports_of = [](const FakePort& b) {
+    std::vector<std::uint16_t> out;
+    for (const Packet& p : b.received) {
+      out.push_back(p.src_port);
+    }
+    return out;
+  };
+  inject({1, 2, 3, 1, 4, 2, 5, 6, 7, 3});
+  EXPECT_EQ(ports_of(b0), (std::vector<std::uint16_t>{1, 1, 4, 7}));
+  EXPECT_EQ(ports_of(b1), (std::vector<std::uint16_t>{2, 2, 5}));
+  EXPECT_EQ(ports_of(b2), (std::vector<std::uint16_t>{3, 6, 3}));
+  EXPECT_EQ(group.BucketLoad(0), 3u);
+  EXPECT_EQ(group.BucketLoad(1), 2u);
+  EXPECT_EQ(group.BucketLoad(2), 2u);
+
+  ASSERT_TRUE(group.Attach(&b3).ok());
+  inject({8, 9, 10, 1, 9});
+  EXPECT_EQ(ports_of(b3), (std::vector<std::uint16_t>{8, 9, 9}));
+  EXPECT_EQ(ports_of(b1), (std::vector<std::uint16_t>{2, 2, 5, 10}));
+  EXPECT_EQ(ports_of(b0), (std::vector<std::uint16_t>{1, 1, 4, 7, 1}));
+  EXPECT_EQ(group.BucketLoad(0), 3u);
+  EXPECT_EQ(group.BucketLoad(1), 3u);
+  EXPECT_EQ(group.BucketLoad(2), 2u);
+  EXPECT_EQ(group.BucketLoad(3), 2u);
+  EXPECT_EQ(group.flows_seen(), 10u);
+}
+
 TEST(FindPortForSlave, ProducesInjectiveMapping) {
   // The Fig. 4 methodology: a unique source port per clone such that the
   // bond maps each tuple to the intended slave.

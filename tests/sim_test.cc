@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <numeric>
+#include <vector>
+
 #include "src/sim/cost_model.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/rng.h"
@@ -87,6 +95,125 @@ TEST(EventLoop, NegativeDelayClampsToNow) {
   loop.Run();
   EXPECT_TRUE(fired);
   EXPECT_DOUBLE_EQ(loop.Now().ToMillis(), 3.0);
+}
+
+// Differential check of the loop against its contract: whatever mix of
+// Post / PostAt (past times included) / AdvanceBy / RunUntil a test drives,
+// and however events post further events, the events run in the order of a
+// stable sort of all posts by effective time (posting order breaks ties),
+// the clock follows a model of it (an event never moves it back), and
+// RunUntil never runs past its deadline.
+TEST(EventLoop, RandomInterleavingsRunInWhenSeqOrder) {
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventLoop loop;
+    std::vector<std::int64_t> when_of;  // by id == posting order
+    std::vector<int> ran;
+    std::int64_t model_now = 0;
+    std::int64_t deadline = std::numeric_limits<std::int64_t>::max();
+    std::function<void()> post_one = [&] {
+      int id = static_cast<int>(when_of.size());
+      std::int64_t now = loop.Now().ns();
+      auto body = [&, id] {
+        model_now = std::max(model_now, when_of[id]);
+        EXPECT_EQ(loop.Now().ns(), model_now);
+        EXPECT_LE(loop.Now().ns(), deadline);
+        ran.push_back(id);
+        while (when_of.size() < 3000 && rng.NextBool(0.45)) {
+          post_one();
+        }
+      };
+      if (rng.NextBool(0.5)) {
+        std::int64_t delay = rng.NextInRange(-20, 60);
+        when_of.push_back(now + std::max<std::int64_t>(delay, 0));
+        loop.Post(SimDuration(delay), body);
+      } else {
+        std::int64_t at = now + rng.NextInRange(-50, 60);
+        when_of.push_back(std::max(at, now));
+        loop.PostAt(SimTime(at), body);
+      }
+    };
+    for (int step = 0; step < 300; ++step) {
+      switch (rng.NextBelow(4)) {
+        case 0:
+        case 1:
+          post_one();
+          break;
+        case 2: {
+          std::int64_t d = rng.NextInRange(0, 30);
+          model_now += d;
+          loop.AdvanceBy(SimDuration(d));
+          break;
+        }
+        default: {
+          deadline = loop.Now().ns() + rng.NextInRange(0, 40);
+          loop.RunUntil(SimTime(deadline));
+          model_now = std::max(model_now, deadline);
+          EXPECT_EQ(loop.Now().ns(), model_now);
+          deadline = std::numeric_limits<std::int64_t>::max();
+          break;
+        }
+      }
+    }
+    loop.Run();
+    EXPECT_FALSE(loop.HasPendingEvents());
+
+    std::vector<int> expected(when_of.size());
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&](int a, int b) { return when_of[a] < when_of[b]; });
+    EXPECT_EQ(ran, expected);
+  }
+}
+
+TEST(EventLoop, MoveOnlyCaptureRunsExactlyOnce) {
+  EventLoop loop;
+  int runs = 0;
+  auto owned = std::make_unique<int>(41);
+  loop.Post(SimDuration::Micros(1), [&runs, p = std::move(owned)] { runs += *p - 40; });
+  // Churn the slot vector so the pending callback is relocated.
+  for (int i = 0; i < 100; ++i) {
+    loop.Post(SimDuration::Micros(2), [] {});
+  }
+  EXPECT_EQ(loop.Run(), 101u);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(EventLoop, CaptureLargerThanInlineBufferRunsExactlyOnce) {
+  EventLoop loop;
+  std::array<std::uint64_t, 16> big{};
+  big.fill(3);
+  static_assert(sizeof(big) > EventCallback::kInlineSize);
+  std::uint64_t sum = 0;
+  int runs = 0;
+  loop.Post(SimDuration::Micros(1), [&sum, &runs, big] {
+    ++runs;
+    for (std::uint64_t v : big) {
+      sum += v;
+    }
+  });
+  for (int i = 0; i < 100; ++i) {
+    loop.Post(SimDuration::Micros(2), [] {});
+  }
+  EXPECT_EQ(loop.Run(), 101u);
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(sum, 48u);
+}
+
+TEST(EventLoop, PendingCallbacksAreDestroyedWithTheLoop) {
+  auto token = std::make_shared<int>(0);
+  {
+    EventLoop loop;
+    loop.Post(SimDuration::Micros(1), [token] {});               // inline
+    std::array<char, 128> pad{};
+    loop.Post(SimDuration::Micros(2), [token, pad] { (void)pad; });  // boxed
+    loop.Post(SimDuration::Micros(3), [t = std::make_unique<std::shared_ptr<int>>(token)] {});
+    EXPECT_EQ(token.use_count(), 4);
+    loop.RunUntil(SimTime(SimDuration::Micros(1).ns()));
+    EXPECT_EQ(token.use_count(), 3);  // the run callback was destroyed after running
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, Deterministic) {
