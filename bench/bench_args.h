@@ -3,9 +3,11 @@
 //   bench_figNN [positional...] [--flag=value ...]
 //
 // Positional parameters are declared by the bench (name + default) and
-// parsed in order; `--key=value` flags may appear anywhere. `--help` (print
-// the declared parameters and exit) is common to the whole fleet; every
-// other flag is declared by the bench. A bench that writes JSON declares
+// parsed in order; each must be a positive decimal integer (anything else,
+// e.g. `abc`, `0` or `40x`, is an error, exit 2). `--key=value` flags may
+// appear anywhere. `--help` (print the declared parameters and exit) is
+// common to the whole fleet; every other flag is declared by the bench. A
+// bench that writes JSON declares
 //
 //   --json=PATH   machine-readable result mode: the bench writes its
 //                 BenchJsonWriter document (see bench_json.h) to PATH for
@@ -19,6 +21,7 @@
 #ifndef BENCH_BENCH_ARGS_H_
 #define BENCH_BENCH_ARGS_H_
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -73,7 +76,15 @@ class BenchArgs {
         }
         flags_[key] = value;
       } else if (next_positional < positional_.size()) {
-        positional_[next_positional++].value = std::atol(argv[i]);
+        BenchArgSpec& spec = positional_[next_positional++];
+        long value = 0;
+        const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), value);
+        if (ec != std::errc() || end != arg.data() + arg.size() || value <= 0) {
+          std::fprintf(stderr, "%s wants a positive integer, got '%s' (try --help)\n",
+                       spec.name.c_str(), argv[i]);
+          std::exit(2);
+        }
+        spec.value = value;
       } else if (passthrough != nullptr) {
         passthrough->push_back(std::string(arg));
       } else {

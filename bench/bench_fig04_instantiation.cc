@@ -6,10 +6,8 @@
 // host; the clone series fork a single parent repeatedly; the boot series
 // disables xl's name-uniqueness scan (names are generated unique).
 //
-// Usage: bench_fig04_instantiation [num_instances] [clone_worker_threads]
-// (defaults: 1000 instances, 1 staging thread). The thread count only moves
-// host wall-clock — every simulated figure is identical at any setting.
-// With --json=PATH the run means land in a BenchJsonWriter document for the
+// Usage: bench_fig04_instantiation [num_instances]   (default 1000). With
+// --json=PATH the run means land in a BenchJsonWriter document for the
 // perf-regression gate (scripts/bench_gate.sh).
 
 #include <chrono>
@@ -28,13 +26,9 @@
 namespace nephele {
 namespace {
 
-// Staging threads for the clone series (second CLI argument).
-unsigned g_clone_worker_threads = 1;
-
 SystemConfig BigPool() {
   SystemConfig cfg;
   cfg.hypervisor.pool_frames = 3 * kGiB / kPageSize * 4;  // 12 GiB
-  cfg.clone_worker_threads = g_clone_worker_threads;
   return cfg;
 }
 
@@ -185,11 +179,8 @@ std::vector<double> RunClone(int n, bool use_xs_clone, CloneRunStats* stats) {
 int main(int argc, char** argv) {
   using namespace nephele;
   BenchArgs args(argc, argv,
-                 {{"num_instances", 1000, "instances per series"},
-                  {"clone_worker_threads", 1, "staging threads (wall-clock only)"}},
-                 {"json"});
+                 {{"num_instances", 1000, "instances per series"}}, {"json"});
   int n = static_cast<int>(args.Positional("num_instances"));
-  g_clone_worker_threads = static_cast<unsigned>(args.Positional("clone_worker_threads"));
 
   auto wall_start = std::chrono::steady_clock::now();
   std::vector<double> boot = RunBoot(n);

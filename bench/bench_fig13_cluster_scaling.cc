@@ -10,9 +10,8 @@
 //
 // The whole scenario is a seeded discrete-event run, so its merged cluster
 // export — every host's metrics plus the fabric's own — must be
-// byte-identical across reruns AND across clone worker counts. The bench
-// runs the scenario three times (workers 1, 1 again, 4) and fails hard on
-// any digest mismatch before emitting gate metrics.
+// byte-identical across reruns. The bench runs the scenario twice and fails
+// hard on a digest mismatch before emitting gate metrics.
 //
 // Usage: bench_fig13_cluster_scaling [instances]   (default 1024). With
 // --json=PATH the figures land in a BenchJsonWriter document for the
@@ -49,13 +48,12 @@ struct ScenarioResult {
   bool invariants_ok = false;   // every host clean at the end
 };
 
-ScenarioResult RunScenario(std::size_t instances, unsigned clone_workers) {
+ScenarioResult RunScenario(std::size_t instances) {
   ScenarioResult out;
   ClusterConfig cfg;
   cfg.hosts = kHosts;
   cfg.placement = PlacementPolicy::kSpread;
   cfg.host.hypervisor.pool_frames = 256 * 1024;  // 1 GiB pool per host
-  cfg.host.clone_worker_threads = clone_workers;
   cfg.host.sched.max_queue_depth = 256;
   cfg.host.sched.warm_pool_capacity = 64;
   ClusterFabric fabric(cfg);
@@ -147,12 +145,10 @@ int main(int argc, char** argv) {
   const std::size_t instances = static_cast<std::size_t>(args.Positional("instances"));
   auto wall_start = std::chrono::steady_clock::now();
 
-  ScenarioResult run1 = RunScenario(instances, /*clone_workers=*/1);
-  ScenarioResult rerun = RunScenario(instances, /*clone_workers=*/1);
-  ScenarioResult run4 = RunScenario(instances, /*clone_workers=*/4);
+  ScenarioResult run1 = RunScenario(instances);
+  ScenarioResult rerun = RunScenario(instances);
 
   const bool rerun_identical = run1.digest == rerun.digest;
-  const bool workers_identical = run1.digest == run4.digest;
 
   SeriesTable table("Figure 13: cluster-wide clone placement (4 hosts, spread)",
                     {"host", "active_children"});
@@ -170,13 +166,10 @@ int main(int argc, char** argv) {
   PrintSummary("link-fault rollback clean", run1.rollback_ok ? 1.0 : 0.0);
   PrintSummary("all hosts invariant-clean", run1.invariants_ok ? 1.0 : 0.0);
   PrintSummary("digest identical across reruns", rerun_identical ? 1.0 : 0.0);
-  PrintSummary("digest identical, workers 1 vs 4", workers_identical ? 1.0 : 0.0);
 
-  if (!rerun_identical || !workers_identical || !run1.rollback_ok || !run1.invariants_ok) {
-    std::fprintf(stderr,
-                 "FAIL: rerun_identical=%d workers_identical=%d rollback_ok=%d "
-                 "invariants_ok=%d\n",
-                 rerun_identical, workers_identical, run1.rollback_ok, run1.invariants_ok);
+  if (!rerun_identical || !run1.rollback_ok || !run1.invariants_ok) {
+    std::fprintf(stderr, "FAIL: rerun_identical=%d rollback_ok=%d invariants_ok=%d\n",
+                 rerun_identical, run1.rollback_ok, run1.invariants_ok);
     return 1;
   }
   if (run1.granted < instances) {

@@ -5,9 +5,8 @@
 //
 // With --json=PATH the binary skips google-benchmark and runs the gate's
 // fixed op set instead (--suite=clone | sched | loop), writing a
-// BenchJsonWriter document: per-op wall ms and ops/sec for serial stage 1,
-// the 64-child batch at 1 and 4 staging threads, scheduler cold dispatch and
-// warm-pool hits, event-loop post/run churn and guest flow-table lookups.
+// BenchJsonWriter document: per-op wall ms and ops/sec for single-child
+// stage 1, the 64-child batch, scheduler cold dispatch and warm-pool hits, event-loop post/run churn and guest flow-table lookups.
 // Any other flag is passed through to google-benchmark.
 
 #include <benchmark/benchmark.h>
@@ -134,13 +133,10 @@ void BM_FullClone(benchmark::State& state) {
 }
 BENCHMARK(BM_FullClone)->Unit(benchmark::kMicrosecond);
 
-// Host wall-clock of one 64-child clone batch (stage 1 only) as a function
-// of the staging worker-thread count. Serial vs 4 threads is the speedup
-// figure for the worker pool; virtual time is identical across the Args.
-void BM_ParallelCloneBatch64(benchmark::State& state) {
+// Host wall-clock of one 64-child clone batch (stage 1 only).
+void BM_CloneBatch64(benchmark::State& state) {
   SystemConfig cfg;
   cfg.hypervisor.pool_frames = 2 * 1024 * 1024;
-  cfg.clone_worker_threads = static_cast<unsigned>(state.range(0));
   NepheleSystem system(cfg);
   DomainConfig dcfg;
   dcfg.name = "parent";
@@ -172,13 +168,7 @@ void BM_ParallelCloneBatch64(benchmark::State& state) {
     state.ResumeTiming();
   }
 }
-BENCHMARK(BM_ParallelCloneBatch64)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_CloneBatch64)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_IdcPipeRoundTrip(benchmark::State& state) {
   SystemConfig cfg;
@@ -239,12 +229,11 @@ void DestroyChildren(NepheleSystem& system, const std::vector<DomId>& children) 
   system.Settle();
 }
 
-// Wall cost of CLONEOP stage 1 for a single child, serial staging. Only the
-// Clone() call is timed; settle + teardown run off the clock.
+// Wall cost of CLONEOP stage 1 for a single child. Only the Clone() call is
+// timed; settle + teardown run off the clock.
 OpTiming MeasureSerialStage1(int iters) {
   SystemConfig cfg;
   cfg.hypervisor.pool_frames = 1024 * 1024;
-  cfg.clone_worker_threads = 1;
   NepheleSystem system(cfg);
   DomainConfig dcfg;
   dcfg.name = "parent";
@@ -273,12 +262,10 @@ OpTiming MeasureSerialStage1(int iters) {
   return t;
 }
 
-// Wall cost of one 64-child batch (stage 1) at `threads` staging threads —
-// the BM_ParallelCloneBatch64 figure, fixed at the gate's two points.
-OpTiming MeasureBatch64(unsigned threads, int batches) {
+// Wall cost of one 64-child batch (stage 1) — the BM_CloneBatch64 figure.
+OpTiming MeasureBatch64(int batches) {
   SystemConfig cfg;
   cfg.hypervisor.pool_frames = 2 * 1024 * 1024;
-  cfg.clone_worker_threads = threads;
   NepheleSystem system(cfg);
   DomainConfig dcfg;
   dcfg.name = "parent";
@@ -404,14 +391,13 @@ int RunGateMode(const BenchArgs& args) {
   BenchJsonWriter json(suite);
   if (suite == "clone") {
     OpTiming serial = MeasureSerialStage1(64);
-    OpTiming t1 = MeasureBatch64(1, 6);
-    OpTiming t4 = MeasureBatch64(4, 6);
+    OpTiming batch64 = MeasureBatch64(6);
     json.Add("serial_stage1_ms", serial.ms_per_op, "ms", MetricDir::kLowerIsBetter,
              MetricKind::kWall);
     json.Add("serial_stage1_ops_per_sec", serial.ops_per_sec, "ops_per_sec",
              MetricDir::kHigherIsBetter, MetricKind::kWall);
-    json.Add("batch64_t1_ms", t1.ms_per_op, "ms", MetricDir::kLowerIsBetter, MetricKind::kWall);
-    json.Add("batch64_t4_ms", t4.ms_per_op, "ms", MetricDir::kLowerIsBetter, MetricKind::kWall);
+    json.Add("batch64_t1_ms", batch64.ms_per_op, "ms", MetricDir::kLowerIsBetter,
+             MetricKind::kWall);
   } else if (suite == "sched") {
     OpTiming dispatch = MeasureSchedulerRoundTrip(0, 64);
     OpTiming warm = MeasureSchedulerRoundTrip(4, 64);

@@ -43,7 +43,7 @@ mkdir -p "${OUT}"
 # The deterministic (sim) benches: small instance counts — the figures are
 # virtual-time, so size only moves wall-clock.
 run_sim_benches() {
-  "${BENCH}/bench_fig04_instantiation" 40 1 --json="${OUT}/BENCH_fig04.json" >/dev/null
+  "${BENCH}/bench_fig04_instantiation" 40 --json="${OUT}/BENCH_fig04.json" >/dev/null
   "${BENCH}/bench_fig07_nginx_throughput" 1 1 --json="${OUT}/BENCH_fig07.json" >/dev/null
   "${BENCH}/bench_fig11_faas_scaling" 30 --json="${OUT}/BENCH_fig11.json" >/dev/null
   "${BENCH}/bench_fig12_request_cloning" 2000 --json="${OUT}/BENCH_fig12.json" >/dev/null

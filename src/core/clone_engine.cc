@@ -1,7 +1,6 @@
 #include "src/core/clone_engine.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "src/base/log.h"
 #include "src/base/units.h"
@@ -79,19 +78,6 @@ void CloneEngine::AddObserver(CloneObserver* observer) { observers_.push_back(ob
 void CloneEngine::RemoveObserver(CloneObserver* observer) {
   observers_.erase(std::remove(observers_.begin(), observers_.end(), observer),
                    observers_.end());
-}
-
-void CloneEngine::SetWorkerThreads(unsigned n) {
-  if (n == 0) {
-    n = 1;
-  }
-  if (n == worker_threads_) {
-    return;
-  }
-  worker_threads_ = n;
-  // Recreated lazily on the next multi-threaded batch. Tearing down eagerly
-  // keeps systems that only ever clone serially free of threads.
-  pool_.reset();
 }
 
 std::size_t CloneEngine::PendingStreamPages(DomId child) const {
@@ -436,12 +422,10 @@ Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& 
       continue;
     }
     NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_share_));
-    // first_shared first: it already records every frame a previous child's
-    // plan turned shared, so the locked read only runs for frames shared
-    // before this batch. IsSharedSync (not IsShared) because staging of the
-    // previous child may still be flipping frames on the worker pool.
+    // first_shared also covers a frame this child's own plan met earlier at
+    // another gfn, which its staging has not shared yet.
     const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsSharedSync(pe.mfn);
+        batch.first_shared.count(pe.mfn) > 0 || frames.IsShared(pe.mfn);
     if (pe.role == PageRole::kIdcShared) {
       // IDC regions stay writable on both sides: true sharing, no COW
       // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared page).
@@ -606,12 +590,10 @@ Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& c
       continue;
     }
     NEPHELE_RETURN_IF_ERROR(PokeFault(f_stage1_share_));
-    // first_shared first: it already records every frame a previous child's
-    // plan turned shared, so the locked read only runs for frames shared
-    // before this batch. IsSharedSync (not IsShared) because staging of the
-    // previous child may still be flipping frames on the worker pool.
+    // first_shared also covers a frame this child's own plan met earlier at
+    // another gfn, which its staging has not shared yet.
     const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsSharedSync(pe.mfn);
+        batch.first_shared.count(pe.mfn) > 0 || frames.IsShared(pe.mfn);
     if (pe.role == PageRole::kIdcShared) {
       cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
       if (!already_shared) {
@@ -682,12 +664,9 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   FrameTable& frames = hv_.frames();
 
   // Guest memory: private pages copy into the pre-allocated frames; shared
-  // pages take one commutative refcount each through one StageShareAll
-  // batch. Parent state is read-only here (the parent is paused and the
-  // plan phase has finished mutating it before the first dispatch).
+  // pages take one more COW sharer each. Parent state is read-only here
+  // (the parent is paused and the plan phase has finished mutating it).
   child.p2m.reserve(parent.p2m.size());
-  std::vector<Mfn> shares;
-  shares.reserve(parent.p2m.size());
   std::size_t pi = 0;
   for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
     const P2mEntry& pe = parent.p2m[gfn];
@@ -699,17 +678,15 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
       child.p2m.push_back(P2mEntry{mfn, pe.role, /*writable=*/true});
     } else if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
       // Deferred (the same predicate the plan used): not-present entry, no
-      // share ref. The ledger is child-local state, so bumping it here is
-      // safe from a pool worker.
+      // share ref.
       child.p2m.push_back(P2mEntry{kInvalidMfn, pe.role, /*writable=*/false});
       ++child.lazy_deferred_pages;
     } else {
-      shares.push_back(pe.mfn);
+      (void)(frames.IsShared(pe.mfn) ? frames.ShareAgain(pe.mfn) : frames.ShareFirst(pe.mfn));
       child.p2m.push_back(
           P2mEntry{pe.mfn, pe.role, /*writable=*/pe.role == PageRole::kIdcShared});
     }
   }
-  frames.StageShareAll(shares, cp.id);
 
   child.grants = parent.grants.CloneForChild();
 
@@ -720,7 +697,7 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
   // parent; later children connect to the first child — exactly the state
   // the serial engine produced by copying the parent's table after its own
   // fix-up had bound those ports to the first child. The parent-side half
-  // of the fix-up is applied serially at commit.
+  // of the fix-up is applied at commit.
   const DomId bind_to = cp.id == batch.first_child ? parent.id : batch.first_child;
   for (EvtchnPort p = 1; p < child.evtchns.used_port_limit(); ++p) {
     EvtchnEntry& ce = child.evtchns.mutable_entry(p);
@@ -745,7 +722,7 @@ void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
       continue;  // create_domain failed: this child never existed
     }
     Domain& child = *cp.child;
-    if (cp.dispatched) {
+    if (cp.staged) {
       // Fully staged: derive the undo from the child's p2m, newest entry
       // first (a re-share presupposes the first share that precedes it).
       for (auto pit = child.p2m.rbegin(); pit != child.p2m.rend(); ++pit) {
@@ -758,7 +735,7 @@ void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
         }
         const bool shared_by_this_batch =
             cp.id == batch.first_child && batch.first_shared.count(pit->mfn) > 0 &&
-            frames.info(pit->mfn).refcount.load(std::memory_order_relaxed) == 2;
+            frames.info(pit->mfn).refcount == 2;
         if (shared_by_this_batch) {
           (void)frames.Unshare(pit->mfn, parent.id);
         } else {
@@ -766,8 +743,8 @@ void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
         }
       }
     } else {
-      // The failing child: its staging job never ran, so no share refs
-      // exist; only the frames its plan consumed go back.
+      // The failing child: it was never staged, so no share refs exist;
+      // only the frames its plan consumed go back.
       for (auto mit = cp.private_mfns.rbegin(); mit != cp.private_mfns.rend(); ++mit) {
         (void)frames.Release(*mit);
       }
@@ -851,21 +828,14 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   (void)hv_.PauseDomain(parent_id);
   parent->blocked_in_clone = true;
 
-  // Lazy pool creation: systems that only ever clone with one thread never
-  // spawn workers.
-  if (worker_threads_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<WorkerPool>(worker_threads_);
-  }
-
-  // Plan each child serially, then pipeline its staging onto the pool while
-  // the next child is planned. Everything that can fail fails in the plan,
-  // so a dispatched staging job always completes.
+  // Plan each child, then stage it before planning the next. Everything
+  // that can fail fails in the plan, so staging always completes.
   BatchPlan batch;
   if (lazy) {
     ComputeHotSet(*parent, req, batch);
   }
   std::vector<ChildPlan> plans;
-  plans.reserve(num_clones);  // workers hold references; must not reallocate
+  plans.reserve(num_clones);
   Status failure = Status::Ok();
   for (unsigned i = 0; i < num_clones; ++i) {
     plans.emplace_back();
@@ -876,21 +846,14 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     if (!failure.ok()) {
       break;
     }
-    cp.dispatched = true;
-    if (pool_ != nullptr) {
-      pool_->Submit(i, [this, parent, &batch, &cp] { StageChild(*parent, batch, cp); });
-    } else {
-      StageChild(*parent, batch, cp);
-    }
-  }
-  if (pool_ != nullptr) {
-    pool_->WaitIdle();
+    StageChild(*parent, batch, cp);
+    cp.staged = true;
   }
 
-  // The batch costs its slowest child in virtual time — concurrency is the
-  // point of the worker pool, and the charge must not depend on the host
-  // thread count. A single clone degenerates to the serial engine's exact
-  // sum; a failed batch charges the work staged up to the failure.
+  // The batch costs its slowest child in virtual time: the modelled
+  // hypervisor builds the children of one CLONEOP independently of each
+  // other on the host's CPUs. A single clone is charged its exact serial
+  // cost; a failed batch charges the work planned up to the failure.
   std::vector<SimDuration> lanes;
   lanes.reserve(plans.size());
   for (const ChildPlan& cp : plans) {
@@ -910,7 +873,7 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
     return failure;
   }
 
-  // Commit phase: serial, in child-index order; nothing below can fail.
+  // Commit phase, in child-index order; nothing below can fail.
   // Parent half of the IDC event-channel fix-up: its unbound kDomChild
   // ports connect to the first child (which keeps serving as the receive
   // end for later ones).

@@ -2,26 +2,26 @@
 // the first stage of cloning (Sec. 4.1, 5.1, 5.2). It operates directly on
 // hypervisor state, exactly as the real implementation extends Xen itself.
 //
-// The first stage of a batch runs in three phases:
+// The first stage of a batch runs in three serial phases on the simulation
+// thread, child by child:
 //
-//   plan    (simulation thread, serial)  — validation, fault pokes, frame
-//           allocations off the free list, parent-side mutations (COW pte
-//           flips, clone accounting), per-child virtual-time lane math and
-//           every metrics/stats update. Everything that can fail fails here.
-//   stage   (worker pool, parallel)      — per-child heavy lifting against
-//           pre-allocated frames: private page copies, COW share refcounts
-//           (FrameTable::StageShareAll), p2m construction, grant/event-
-//           channel table duplication. Staging is infallible by construction.
-//   commit  (simulation thread, serial, child-index order) — parent IDC
+//   plan    — validation, fault pokes, frame allocations off the free list,
+//           parent-side mutations (COW pte flips, clone accounting), per-child
+//           virtual-time lane math and every metrics/stats update.
+//           Everything that can fail fails here.
+//   stage   — per-child heavy lifting against the pre-allocated frames:
+//           private page copies, COW share refcounts, p2m construction,
+//           grant/event-channel table duplication. Staging cannot fail.
+//   commit  — once every child is staged, in child-index order: parent IDC
 //           event-channel fix-up, notification-ring pushes, VIRQ_CLONED,
 //           pending/outstanding bookkeeping.
 //
-// Because failures, metrics and externally visible ordering all live in the
-// serial phases, the result of a batch is byte-identical at any worker
-// thread count; only wall-clock time changes. Virtual time is charged as the
-// critical path over the per-child lanes (a batch costs its slowest child,
-// not the sum), which for a single clone degenerates to the exact serial
-// cost.
+// Keeping every failure in plan is what makes rollback exact: a failed batch
+// unwinds fully staged children from their p2m and the failing child from
+// its plan, and no half-staged child ever exists. Virtual time is charged as
+// the critical path over the per-child lanes (the hypervisor builds the
+// children of one CLONEOP independently, so a batch costs its slowest
+// child, not the sum), which for a single clone is the exact serial cost.
 
 #ifndef SRC_CORE_CLONE_ENGINE_H_
 #define SRC_CORE_CLONE_ENGINE_H_
@@ -35,7 +35,6 @@
 
 #include "src/base/result.h"
 #include "src/core/clone_types.h"
-#include "src/core/worker_pool.h"
 #include "src/fault/fault.h"
 #include "src/hypervisor/hypervisor.h"
 #include "src/obs/clone_observer.h"
@@ -142,14 +141,6 @@ class CloneEngine {
   void AddObserver(CloneObserver* observer);
   void RemoveObserver(CloneObserver* observer);
 
-  // Number of host threads staging clone batches. 1 (the default) stages
-  // inline on the simulation thread; n > 1 partitions children of a batch
-  // round-robin across n pool workers. The pool is created lazily on the
-  // first multi-threaded batch and torn down on reconfiguration. Results
-  // are identical at any setting; only wall-clock time changes.
-  void SetWorkerThreads(unsigned n);
-  unsigned worker_threads() const { return worker_threads_; }
-
   const CloneStats& stats() const { return stats_; }
 
   // Registry this engine records into (its own fallback unless one was
@@ -157,7 +148,7 @@ class CloneEngine {
   MetricsRegistry& metrics() { return *metrics_; }
 
  private:
-  // Per-child output of the plan phase: everything a worker needs to stage
+  // Per-child output of the plan phase: everything StageChild needs to build
   // the child without taking any decision of its own.
   struct ChildPlan {
     DomId id = kDomInvalid;
@@ -168,10 +159,9 @@ class CloneEngine {
     // This child's virtual-time lane (its cost had it been cloned alone,
     // minus the hypercall trap).
     SimDuration lane;
-    // True once the staging job was handed to a worker (or ran inline):
-    // the child is then fully built and rollback derives its effects from
-    // the child's p2m instead of from private_mfns.
-    bool dispatched = false;
+    // True once StageChild ran: the child is then fully built and rollback
+    // derives its effects from the child's p2m instead of from private_mfns.
+    bool staged = false;
   };
 
   // Batch-wide facts computed once during the first child's full-page scan.
@@ -257,13 +247,13 @@ class CloneEngine {
   // already committed); tearing down a streaming child cancels its stream.
   void OnDomainDestroy(DomId dom);
 
-  // Stage phase: runs on a pool worker (or inline when worker_threads_==1).
-  // Touches only the child's state, pre-allocated frames, read-only parent
-  // state and the shard-locked FrameTable::StageShareAll path.
+  // Stage phase: builds the child from its plan. Touches only the child's
+  // state, its pre-allocated frames, the share refcounts of the parent's
+  // frames and read-only parent state.
   void StageChild(const Domain& parent, const BatchPlan& batch, ChildPlan& cp);
 
   // Unwinds a failed batch (children [0, n) of `plans`, newest first) back
-  // to the pre-hypercall state. Dispatched children are derived-rolled-back
+  // to the pre-hypercall state. Staged children are derived-rolled-back
   // from their p2m; the failing child returns its consumed allocations.
   void RollbackBatch(Domain& parent, BatchPlan& batch, std::vector<ChildPlan>& plans);
 
@@ -337,17 +327,14 @@ class CloneEngine {
   FaultPoint* f_lazy_stream_ = nullptr;
   FaultPoint* f_lazy_demand_ = nullptr;
 
-  unsigned worker_threads_ = 1;
-  std::unique_ptr<WorkerPool> pool_;  // created lazily; null while serial
-
   std::vector<CloneObserver*> observers_;
   // Outstanding second-stage completions per parent.
   std::map<DomId, unsigned> outstanding_;
   std::map<DomId, PendingChild> pending_children_;
 
   LazyCloneConfig lazy_cfg_;
-  // Active streams, keyed by child. Ordered so StreamPump's round-robin and
-  // the pending-pages gauge are worker-count independent.
+  // Active streams, keyed by child. Ordered so StreamPump's round-robin
+  // visits children in ascending DomId order.
   std::map<DomId, StreamState> streaming_;
 };
 

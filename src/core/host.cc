@@ -13,11 +13,7 @@ Host::Host(EventLoop& loop, SystemConfig config, std::size_t index)
   devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, &faults_);
   toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs_, services());
   engine_ = std::make_unique<CloneEngine>(*hv_, services());
-  engine_->SetWorkerThreads(config_.clone_worker_threads);
   engine_->SetLazyConfig(config_.lazy_clone);
-  // The toolstack's administrator knob routes through the host so config()
-  // keeps reflecting the effective thread count.
-  toolstack_->AttachCloneThreadSetter([this](unsigned n) { SetCloneWorkerThreads(n); });
   xencloned_ = std::make_unique<Xencloned>(*hv_, *engine_, *xs_, *devices_, *toolstack_, loop_,
                                            costs_, services());
 

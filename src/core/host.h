@@ -30,17 +30,17 @@
 
 namespace nephele {
 
-// The single source of truth for every host-side knob. Runtime setters
-// (Host::SetCloneWorkerThreads, Toolstack::SetCloneWorkerThreads) are thin
-// forwards that update this struct and push the value down; reading
-// Host::config() always reflects the current effective settings.
+// The single source of truth for every host-side knob; Host::config()
+// always reflects the settings the host runs with.
 struct SystemConfig {
   HypervisorConfig hypervisor;
   CostModel costs;
   // Start xencloned (and enable cloning globally) at construction.
   bool start_xencloned = true;
-  // Host threads staging clone batches. 1 = serial; results are identical
-  // at any setting.
+  // Inert: nothing in src/, tests/, bench/ or examples/ reads or writes
+  // this field, and clone batches are always staged on the simulation
+  // thread. It stays only because the perfbench workloads still write it;
+  // a follow-up benchmark PR removes it together with those writes.
   unsigned clone_worker_threads = 1;
   // Clone-scheduler knobs (batch window, max batch, warm-pool capacity,
   // queue depth, ...). Consumed by CloneScheduler(Host&).
@@ -103,17 +103,8 @@ class Host {
   // top of this host (GuestManager, CloneScheduler, ...) should receive.
   SystemServices services() { return SystemServices{&metrics_, &trace_, &faults_}; }
 
-  // The effective configuration. Runtime setters below keep it current, so
-  // this is always what the host is actually running with.
+  // The configuration this host was built with.
   const SystemConfig& config() const { return config_; }
-
-  // Single entry point for retuning clone staging parallelism at runtime:
-  // updates config() and forwards to the engine. Toolstack's administrator
-  // knob is wired here too, so every path converges on one source of truth.
-  void SetCloneWorkerThreads(unsigned n) {
-    config_.clone_worker_threads = n == 0 ? 1 : n;
-    engine_->SetWorkerThreads(n);
-  }
 
   // Runs the (shared) event loop until idle.
   void Settle() { loop_.Run(); }

@@ -381,7 +381,6 @@ class Executor {
 RunResult Executor::Run() {
   SystemConfig config;
   config.hypervisor.pool_frames = tape_.pool_frames;
-  config.clone_worker_threads = options_.force_workers != 0 ? options_.force_workers : 1;
   // Fixed, tight scheduler knobs so tapes exercise batching, warm-pool reuse
   // and queue-full rejection with few ops. The 1 ms window and 100 ms
   // timeout both drain inside each op's Settle, so every scheduler decision
@@ -634,9 +633,6 @@ void Executor::OpClone(const Op& op, bool lazy) {
       break;
     default:
       break;
-  }
-  if (options_.force_workers == 0 && op.workers != 0) {
-    sys_->clone_engine().SetWorkerThreads(1 + (op.workers - 1) % 8);
   }
   const unsigned n = op.n == 0 ? 1 : 1 + (op.n - 1) % 8;
   const bool well_formed = Modelled(parent) && (caller == parent || caller == kDom0) &&

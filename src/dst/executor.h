@@ -23,7 +23,7 @@
 // An op that deliberately skips its post-op settle (clone flags bit1 — the
 // clone-during-clone window) defers the state checks to the next settled
 // op. A run is deterministic: the same tape produces a byte-identical digest
-// at any clone worker-thread count.
+// on every run.
 
 #ifndef SRC_DST_EXECUTOR_H_
 #define SRC_DST_EXECUTOR_H_
@@ -46,10 +46,6 @@ class NepheleSystem;
 DomainConfig DstGuestConfig();
 
 struct RunOptions {
-  // Non-zero: ignore per-op `workers` and stage every batch with this many
-  // threads. The determinism tests run each tape at 1 and 4 and compare
-  // digests.
-  unsigned force_workers = 0;
   // Test-only hook, invoked after each op executes and the model is updated
   // but before the oracle runs. Lets tests seed a deliberate bug (mutate
   // system state behind the model's back) to prove the oracle catches it

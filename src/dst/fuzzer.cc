@@ -49,7 +49,6 @@ std::vector<Op> SimplerVariants(const Op& op) {
   add([](Op& v) { v.n = v.n > 1 ? 1 : v.n; });
   add([](Op& v) { v.v = v.v > 1 ? 1 : v.v; });
   add([](Op& v) { v.flags = 0; });
-  add([](Op& v) { v.workers = 0; });
   add([](Op& v) { v.amount = v.amount > 1 ? 1 : v.amount; });
   add([](Op& v) {
     if (v.spec.policy == FaultSpec::Policy::kNthHit) {

@@ -19,9 +19,8 @@ enum : std::uint16_t {
   kN = 1 << 3,
   kV = 1 << 4,
   kFlags = 1 << 5,
-  kWorkers = 1 << 6,
-  kAmount = 1 << 7,
-  kFault = 1 << 8,
+  kAmount = 1 << 6,
+  kFault = 1 << 7,
 };
 
 struct KindInfo {
@@ -35,8 +34,8 @@ struct KindInfo {
 
 constexpr KindInfo kKinds[kNumOpKinds] = {
     {"launch", 0, 4},
-    {"clone", kA | kB | kN | kFlags | kWorkers, 5},
-    {"lazyclone", kA | kB | kC | kN | kFlags | kWorkers, 5},
+    {"clone", kA | kB | kN | kFlags, 5},
+    {"lazyclone", kA | kB | kC | kN | kFlags, 5},
     {"write", kA | kC | kV, 8},
     {"lazytouch", kA | kC | kV, 5},
     {"reset", kA | kB, 4},
@@ -164,8 +163,8 @@ const char* OpKindName(OpKind kind) { return kKinds[static_cast<std::size_t>(kin
 
 bool Op::operator==(const Op& other) const {
   return kind == other.kind && a == other.a && b == other.b && c == other.c && n == other.n &&
-         v == other.v && flags == other.flags && workers == other.workers &&
-         amount == other.amount && point == other.point && SpecEquals(spec, other.spec);
+         v == other.v && flags == other.flags && amount == other.amount &&
+         point == other.point && SpecEquals(spec, other.spec);
 }
 
 Tape TapeFromBytes(std::uint64_t seed, const std::vector<std::uint8_t>& bytes) {
@@ -207,7 +206,6 @@ Tape TapeFromBytes(std::uint64_t seed, const std::vector<std::uint8_t>& bytes) {
       case OpKind::kLazyClone:
         op.n = 1 + t.Below(4);
         op.flags = t.Below(4);
-        op.workers = t.Below(5);
         break;
       case OpKind::kSchedAcquire:
         op.n = 1 + t.Below(2);
@@ -253,7 +251,6 @@ std::string Tape::ToText() const {
     if (op.n != 0) out << " n=" << op.n;
     if (op.v != 0) out << " v=" << op.v;
     if (op.flags != 0) out << " flags=" << op.flags;
-    if (op.workers != 0) out << " workers=" << op.workers;
     if (op.amount != 0) out << " amount=" << op.amount;
     if ((Operands(op.kind) & kFault) != 0) {
       out << " point=" << op.point;
@@ -320,10 +317,9 @@ Result<Tape> Tape::FromText(const std::string& text) {
         std::uint16_t bit;
       };
       static constexpr Field kFields[] = {
-          {"a", kA},          {"b", kB},           {"c", kC},      {"n", kN},
-          {"v", kV},          {"flags", kFlags},   {"workers", kWorkers},
-          {"amount", kAmount}, {"point", kFault},  {"nth", kFault}, {"p", kFault},
-          {"pseed", kFault},
+          {"a", kA},          {"b", kB},          {"c", kC},      {"n", kN},
+          {"v", kV},          {"flags", kFlags},  {"amount", kAmount},
+          {"point", kFault},  {"nth", kFault},    {"p", kFault},  {"pseed", kFault},
       };
       std::uint16_t bit = 0;
       for (const Field& f : kFields) {
@@ -357,7 +353,6 @@ Result<Tape> Tape::FromText(const std::string& text) {
       if (key == "n") op.n = u32;
       if (key == "v") op.v = u32;
       if (key == "flags") op.flags = u32;
-      if (key == "workers") op.workers = u32;
       if (key == "amount") op.amount = num;
       if (key == "nth") nth = num;
       if (key == "pseed") pseed = num;

@@ -39,8 +39,8 @@ namespace nephele {
 enum class OpKind : std::uint8_t {
   kLaunch = 0,    // xl create of a fresh root guest
   kClone,         // clone_op: a=parent sel, b=caller menu, n=children,
-                  // workers=staging threads (0 keeps), flags bit0=bogus
-                  // start_info mfn, bit1=skip settle (clone-during-clone)
+                  // flags bit0=bogus start_info mfn, bit1=skip settle
+                  // (clone-during-clone)
   kLazyClone,     // clone_op with lazy=true: kClone operands plus c=tracked
                   // page hinted hot; children stay half-mapped until streamed
   kWrite,         // tracked heap-cell write: a=dom sel, c=cell, v=value
@@ -91,7 +91,6 @@ struct Op {
   std::uint32_t n = 0;       // count / offset selector
   std::uint32_t v = 0;       // value / length selector
   std::uint32_t flags = 0;   // per-kind behaviour bits
-  std::uint32_t workers = 0; // kClone/kLazyClone: staging threads (0 = keep)
   std::uint64_t amount = 0;  // kAdvance: nanoseconds
   std::string point;         // kArm: fault point name
   FaultSpec spec = FaultSpec::NthHit(1);  // kArm: trigger
@@ -116,8 +115,7 @@ struct Tape {
   //   seed <n>
   //   [pool_frames <n>]
   //   <op-name> [a=<n>] [b=<n>] [c=<n>] [n=<n>] [v=<n>] [flags=<n>]
-  //             [workers=<n>] [amount=<n>] [point=<name> [nth=<n>]
-  //             [p=<float> pseed=<n>]]
+  //             [amount=<n>] [point=<name> [nth=<n>] [p=<float> pseed=<n>]]
   // Zero-valued operands (nth: 1) are omitted on write. The parser rejects
   // unknown ops, unknown keys, operands the op kind does not read and
   // malformed or out-of-range values (a 32-bit operand above 2^32-1, any

@@ -1,13 +1,8 @@
 #include "src/hypervisor/frame_table.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace nephele {
-
-namespace {
-constexpr auto kRelaxed = std::memory_order_relaxed;
-}  // namespace
 
 FrameTable::FrameTable(std::size_t total_frames) {
   frames_.resize(total_frames);
@@ -28,7 +23,7 @@ Result<Mfn> FrameTable::Alloc(DomId owner) {
   --free_count_;
   FrameInfo& f = frames_[mfn];
   f.owner = owner;
-  f.refcount.store(1, kRelaxed);
+  f.refcount = 1;
   f.shared = false;
   f.allocated = true;
   f.data.reset();  // frames are scrubbed: reads are zero until written
@@ -45,13 +40,13 @@ Status FrameTable::CheckAllocated(Mfn mfn) const {
 Status FrameTable::Release(Mfn mfn) {
   NEPHELE_RETURN_IF_ERROR(CheckAllocated(mfn));
   FrameInfo& f = frames_[mfn];
-  if (f.shared && f.refcount.load(kRelaxed) > 1) {
-    f.refcount.fetch_sub(1, kRelaxed);
-    saved_by_sharing_.fetch_sub(1, kRelaxed);
+  if (f.shared && f.refcount > 1) {
+    --f.refcount;
+    --saved_by_sharing_;
     return Status::Ok();
   }
   if (f.shared) {
-    shared_count_.fetch_sub(1, kRelaxed);
+    --shared_count_;
   }
   f = FrameInfo{};
   free_list_.push_back(mfn);
@@ -67,9 +62,9 @@ Status FrameTable::ShareFirst(Mfn mfn) {
   }
   f.owner = kDomCow;
   f.shared = true;
-  f.refcount.store(2, kRelaxed);
-  shared_count_.fetch_add(1, kRelaxed);
-  saved_by_sharing_.fetch_add(1, kRelaxed);
+  f.refcount = 2;
+  ++shared_count_;
+  ++saved_by_sharing_;
   return Status::Ok();
 }
 
@@ -79,67 +74,22 @@ Status FrameTable::ShareAgain(Mfn mfn) {
   if (!f.shared) {
     return ErrFailedPrecondition("frame not shared");
   }
-  f.refcount.fetch_add(1, kRelaxed);
-  saved_by_sharing_.fetch_add(1, kRelaxed);
+  ++f.refcount;
+  ++saved_by_sharing_;
   return Status::Ok();
-}
-
-void FrameTable::StageShareAll(const std::vector<Mfn>& mfns, std::size_t seed) {
-  // Counting-sort the batch by shard so each shard mutex is taken once per
-  // call instead of once per page (a 16k-page child would otherwise pay 16k
-  // remote lock acquisitions, which is slower than staging serially).
-  std::array<std::size_t, kLockShards + 1> offset{};
-  for (Mfn m : mfns) {
-    ++offset[m % kLockShards + 1];
-  }
-  for (std::size_t s = 0; s < kLockShards; ++s) {
-    offset[s + 1] += offset[s];
-  }
-  std::vector<Mfn> sorted(mfns.size());
-  std::array<std::size_t, kLockShards> cursor;
-  std::copy_n(offset.begin(), kLockShards, cursor.begin());
-  for (Mfn m : mfns) {
-    sorted[cursor[m % kLockShards]++] = m;
-  }
-
-  // Under each shard lock: `shared`/`owner` flip exactly once no matter
-  // which of the batch's workers gets there first, and the refcount counts
-  // every sharer. Equivalent to one ShareFirst plus ShareAgain per extra
-  // sharer, in any order. The rotated start shard keeps concurrently staged
-  // children on disjoint shards most of the time.
-  const std::size_t start = (seed * 17) % kLockShards;
-  std::size_t newly_shared = 0;
-  for (std::size_t i = 0; i < kLockShards; ++i) {
-    const std::size_t s = (start + i) % kLockShards;
-    if (offset[s] == offset[s + 1]) {
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(share_locks_[s]);
-    for (std::size_t j = offset[s]; j < offset[s + 1]; ++j) {
-      FrameInfo& f = frames_[sorted[j]];
-      f.refcount.fetch_add(1, kRelaxed);
-      if (!f.shared) {
-        f.shared = true;
-        f.owner = kDomCow;
-        ++newly_shared;
-      }
-    }
-  }
-  shared_count_.fetch_add(newly_shared, kRelaxed);
-  saved_by_sharing_.fetch_add(mfns.size(), kRelaxed);
 }
 
 Status FrameTable::Unshare(Mfn mfn, DomId new_owner) {
   NEPHELE_RETURN_IF_ERROR(CheckAllocated(mfn));
   FrameInfo& f = frames_[mfn];
-  if (!f.shared || f.refcount.load(kRelaxed) != 2) {
+  if (!f.shared || f.refcount != 2) {
     return ErrFailedPrecondition("unshare needs a shared frame with exactly two refs");
   }
   f.owner = new_owner;
   f.shared = false;
-  f.refcount.store(1, kRelaxed);
-  shared_count_.fetch_sub(1, kRelaxed);
-  saved_by_sharing_.fetch_sub(1, kRelaxed);
+  f.refcount = 1;
+  --shared_count_;
+  --saved_by_sharing_;
   return Status::Ok();
 }
 
@@ -149,20 +99,20 @@ Result<FrameTable::CowResolution> FrameTable::ResolveCowWrite(Mfn mfn, DomId wri
   if (!f.shared) {
     return ErrFailedPrecondition("COW write on unshared frame");
   }
-  if (f.refcount.load(kRelaxed) == 1) {
+  if (f.refcount == 1) {
     // Last sharer: hand the frame over in place; no copy needed. The new
     // owner may differ from the original owner (Sec. 5.2).
     f.owner = writer;
     f.shared = false;
-    shared_count_.fetch_sub(1, kRelaxed);
+    --shared_count_;
     return CowResolution{mfn, /*copied=*/false};
   }
   NEPHELE_ASSIGN_OR_RETURN(Mfn copy, Alloc(writer));
   if (f.data != nullptr) {
     CopyPage(mfn, copy);
   }
-  f.refcount.fetch_sub(1, kRelaxed);
-  saved_by_sharing_.fetch_sub(1, kRelaxed);
+  --f.refcount;
+  --saved_by_sharing_;
   return CowResolution{copy, /*copied=*/true};
 }
 

@@ -50,7 +50,6 @@ const std::vector<std::int64_t>& Histogram::DefaultLatencyBoundsNs() {
 }
 
 void Histogram::Observe(std::int64_t value) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);
   ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
   if (count_ == 0 || value < min_) {
@@ -64,7 +63,6 @@ void Histogram::Observe(std::int64_t value) {
 }
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
@@ -73,7 +71,6 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
@@ -83,7 +80,6 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                          std::vector<std::int64_t> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), std::make_unique<Histogram>(std::move(bounds)))
@@ -93,19 +89,16 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
 }
 
 const Counter* MetricsRegistry::FindCounter(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
 const Gauge* MetricsRegistry::FindGauge(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : it->second.get();
 }
 
 const Histogram* MetricsRegistry::FindHistogram(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : it->second.get();
 }
@@ -121,7 +114,6 @@ std::int64_t MetricsRegistry::GaugeValue(std::string_view name) const {
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::SnapshotCounters() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, std::uint64_t>> out;
   out.reserve(counters_.size());
   for (const auto& [name, counter] : counters_) {
@@ -131,7 +123,6 @@ std::vector<std::pair<std::string, std::uint64_t>> MetricsRegistry::SnapshotCoun
 }
 
 std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::SnapshotGauges() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, std::int64_t>> out;
   out.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
@@ -142,7 +133,6 @@ std::vector<std::pair<std::string, std::int64_t>> MetricsRegistry::SnapshotGauge
 
 std::vector<std::pair<std::string, MetricsRegistry::HistogramSample>>
 MetricsRegistry::SnapshotHistograms() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, HistogramSample>> out;
   out.reserve(histograms_.size());
   for (const auto& [name, hist] : histograms_) {
@@ -152,7 +142,6 @@ MetricsRegistry::SnapshotHistograms() const {
 }
 
 std::vector<std::string> MetricsRegistry::AllNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
   out.reserve(counters_.size() + gauges_.size() + histograms_.size());
   for (const auto& [name, counter] : counters_) {
@@ -170,7 +159,6 @@ std::vector<std::string> MetricsRegistry::AllNames() const {
 }
 
 std::string MetricsRegistry::ExportJson() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   out.reserve(1024);
   out += "{\n  \"counters\": {";
@@ -222,7 +210,7 @@ std::string MetricsRegistry::ExportJson() const {
 
 std::string ExportMergedJson(
     const std::vector<std::pair<std::string, const MetricsRegistry*>>& parts) {
-  // Collect prefixed snapshots first (one lock per part), then emit in
+  // Collect prefixed snapshots first, then emit in
   // exactly the ExportJson layout so merged and single-registry exports
   // diff cleanly against each other.
   std::map<std::string, std::uint64_t> counters;
@@ -232,7 +220,6 @@ std::string ExportMergedJson(
     if (registry == nullptr) {
       continue;
     }
-    std::lock_guard<std::mutex> lock(registry->mu_);
     for (const auto& [name, counter] : registry->counters_) {
       counters[prefix + name] = counter->value();
     }

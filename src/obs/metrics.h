@@ -5,23 +5,16 @@
 // MetricsRegistry::ExportJson() is byte-identical across runs of the same
 // seeded scenario — benches and tests assert on it directly. Handles returned
 // by the registry are stable for its lifetime; subsystems cache them at
-// construction and update them on the hot path without any lookup.
-//
-// Threading: individual metric updates are thread-safe (atomic counters and
-// gauges, an internal mutex per histogram) so clone-engine worker threads may
-// record concurrently. Find-or-create and read paths on the registry are
-// guarded by a registry mutex. Gauge providers and the export itself are
-// still expected to run on the simulation thread.
+// construction and update them on the hot path without any lookup. Like
+// the rest of the simulator, the registry is single-threaded.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,11 +25,11 @@ namespace nephele {
 // Monotonically increasing event count.
 class Counter {
  public:
-  void Increment(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  void Increment(std::uint64_t n = 1) { value_ += n; }
+  std::uint64_t value() const { return value_; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 // Point-in-time value. Either set explicitly or backed by a provider that is
@@ -46,16 +39,14 @@ class Gauge {
  public:
   using Provider = std::function<std::int64_t()>;
 
-  void Set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(std::int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  void Set(std::int64_t v) { value_ = v; }
+  void Add(std::int64_t delta) { value_ += delta; }
   void SetProvider(Provider provider) { provider_ = std::move(provider); }
 
-  std::int64_t value() const {
-    return provider_ ? provider_() : value_.load(std::memory_order_relaxed);
-  }
+  std::int64_t value() const { return provider_ ? provider_() : value_; }
 
  private:
-  std::atomic<std::int64_t> value_{0};
+  std::int64_t value_ = 0;
   Provider provider_;
 };
 
@@ -71,38 +62,21 @@ class Histogram {
 
   void Observe(std::int64_t value);
 
-  std::uint64_t count() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
-  std::int64_t sum() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return sum_;
-  }
-  std::int64_t min() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_ == 0 ? 0 : min_;
-  }
-  std::int64_t max() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_ == 0 ? 0 : max_;
-  }
+  std::uint64_t count() const { return count_; }
+  std::int64_t sum() const { return sum_; }
+  std::int64_t min() const { return count_ == 0 ? 0 : min_; }
+  std::int64_t max() const { return count_ == 0 ? 0 : max_; }
   double mean() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
 
-  // Bounds are fixed at construction; no lock needed.
+  // Bounds are fixed at construction.
   const std::vector<std::int64_t>& bounds() const { return bounds_; }
   // i in [0, bounds().size()]; the last index is the overflow bucket.
-  std::uint64_t BucketCount(std::size_t i) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return buckets_[i];
-  }
+  std::uint64_t BucketCount(std::size_t i) const { return buckets_[i]; }
 
  private:
   std::vector<std::int64_t> bounds_;
-  mutable std::mutex mu_;               // guards everything below
   std::vector<std::uint64_t> buckets_;  // bounds_.size() + 1 entries
   std::uint64_t count_ = 0;
   std::int64_t sum_ = 0;
@@ -134,11 +108,10 @@ class MetricsRegistry {
   std::int64_t GaugeValue(std::string_view name) const;
 
   // Point-in-time snapshots of every metric, names sorted — the collector
-  // interface of the TSDB (src/obs/tsdb) and the metric-naming audit. One
-  // registry lock, then per-metric reads; provider-backed gauges are sampled
-  // while taking the snapshot, so like export these run on the simulation
-  // thread. Histograms are reduced to their (count, sum) pair: the two
-  // series windowed rate/mean queries need.
+  // interface of the TSDB (src/obs/tsdb) and the metric-naming audit.
+  // Provider-backed gauges are sampled while taking the snapshot.
+  // Histograms are reduced to their (count, sum) pair: the two series
+  // windowed rate/mean queries need.
   struct HistogramSample {
     std::uint64_t count = 0;
     std::int64_t sum = 0;
@@ -160,7 +133,6 @@ class MetricsRegistry {
   friend std::string ExportMergedJson(
       const std::vector<std::pair<std::string, const MetricsRegistry*>>& parts);
 
-  mutable std::mutex mu_;  // guards the three maps (not the metrics themselves)
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;

@@ -12,7 +12,7 @@
 // config.tick_interval apart onto the event loop, where they interleave
 // deterministically with workload events. The collector never re-arms
 // itself, so EventLoop::Run()/Settle() always drains. Exports are
-// byte-deterministic for a seeded scenario at any clone worker count.
+// byte-deterministic for a seeded scenario.
 
 #ifndef SRC_OBS_TSDB_TSDB_H_
 #define SRC_OBS_TSDB_TSDB_H_

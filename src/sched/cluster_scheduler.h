@@ -18,8 +18,8 @@
 //
 // Placement runs at request time against live signals (parked warm children,
 // free hypervisor-pool frames, children this scheduler placed), entirely on
-// the deterministic cluster loop: byte-identical across reruns and clone
-// worker counts, like every other layer.
+// the deterministic cluster loop: byte-identical across reruns, like every
+// other layer.
 
 #ifndef SRC_SCHED_CLUSTER_SCHEDULER_H_
 #define SRC_SCHED_CLUSTER_SCHEDULER_H_

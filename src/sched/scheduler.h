@@ -26,11 +26,10 @@
 //               deterministically instead of growing unboundedly.
 //
 // Every decision runs on the deterministic EventLoop (window timers, grant
-// delivery, timeouts), so scheduled runs stay byte-identical across reruns
-// and clone-engine worker counts. The scheduler registers itself as a
-// CloneObserver on the engine — batch completion and per-child resumes drive
-// grant delivery — and since its batches go through the ordinary CLONEOP
-// path, every other observer (metrics, tracing, the guest runtime) sees
+// delivery, timeouts), so scheduled runs stay byte-identical across reruns.
+// The scheduler registers itself as a CloneObserver on the engine — batch
+// completion and per-child resumes drive grant delivery — and since its
+// batches go through the ordinary CLONEOP path, every other observer (metrics, tracing, the guest runtime) sees
 // scheduled clones exactly like direct ones.
 //
 // Like GuestManager, the scheduler is built ON TOP of a NepheleSystem, not

@@ -124,9 +124,9 @@ class EventLoop {
   void AdvanceBy(SimDuration d) { now_ = now_ + d; }
 
   // Charges a batch of concurrent activity lanes: the batch costs its
-  // longest lane, not the sum. The parallel clone engine models every child
-  // of a batch as one lane, so the charge is independent of how many host
-  // worker threads executed the staging.
+  // longest lane, not the sum. The clone engine makes every child of a
+  // CLONEOP batch one lane, because the modelled hypervisor builds a batch's
+  // children independently of each other on the host's CPUs.
   void AdvanceByCriticalPath(const std::vector<SimDuration>& lanes) {
     SimDuration critical;
     for (SimDuration d : lanes) {

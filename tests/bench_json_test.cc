@@ -203,6 +203,18 @@ TEST(BenchArgsTest, JsonToABenchThatWritesNoneExitsTwo) {
               ::testing::ExitedWithCode(2), "unknown flag --json");
 }
 
+// Positionals take a positive decimal integer and nothing else: a bench fed
+// `abc` must not run at size 0, nor one fed `40x` at size 40.
+TEST(BenchArgsTest, MalformedOrNonPositivePositionalExitsTwo) {
+  for (const char* bad : {"abc", "40x", "0", "-3", "", "+5", " 4", "4.0",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(std::string("positional '") + bad + "'");
+    EXPECT_EXIT(ParseBenchArgs({"bench", bad}, {}), ::testing::ExitedWithCode(2),
+                "n wants a positive integer");
+  }
+  EXPECT_EQ(ParseBenchArgs({"bench", "40"}, {}).Positional("n"), 40);
+}
+
 TEST(BenchArgsTest, JsonToABenchThatWritesItNamesThePath) {
   BenchArgs args = ParseBenchArgs({"bench", "3", "--json=out.json"}, {"json"});
   EXPECT_EQ(args.json_path(), "out.json");

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/core/system.h"
+#include "tests/frame_invariants.h"
 
 namespace nephele {
 namespace {
@@ -453,6 +458,146 @@ TEST_P(CloneTransparency, MemorySizeSweep) {
 
 INSTANTIATE_TEST_SUITE_P(MemorySizes, CloneTransparency,
                          ::testing::Values(4, 8, 16, 64, 128));
+
+// ---------------------------------------------------------------------------
+// Whole batches: virtual-time charge and rerun reproducibility.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint8_t kStamp[16] = {0xde, 0xad, 0xbe, 0xef, 9, 8, 7, 6,
+                                     5,    4,    3,    2,    1, 0, 1, 2};
+
+// FNV-1a over the full observable machine state: every domain's p2m (mfn,
+// role, writability) plus the bytes of every mapped frame, in domain/gfn
+// order, and the free pool size.
+std::uint64_t MemoryDigest(NepheleSystem& sys) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  auto add = [&hash](const void* bytes, std::size_t len) {
+    const auto* p = static_cast<const std::uint8_t*>(bytes);
+    for (std::size_t i = 0; i < len; ++i) {
+      hash = (hash ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  auto add_value = [&add](auto v) { add(&v, sizeof(v)); };
+  std::uint8_t page[kPageSize];
+  for (DomId id : sys.hypervisor().DomainIds()) {
+    const Domain* dom = sys.hypervisor().FindDomain(id);
+    add_value(id);
+    add_value(dom->parent);
+    add_value(dom->family_root);
+    add_value(dom->vcpus.empty() ? std::uint64_t{0} : dom->vcpus[0].rax);
+    for (Gfn gfn = 0; gfn < dom->p2m.size(); ++gfn) {
+      const P2mEntry& e = dom->p2m[gfn];
+      add_value(gfn);
+      add_value(e.mfn);
+      add_value(static_cast<int>(e.role));
+      add_value(e.writable);
+      if (e.mfn != kInvalidMfn) {
+        sys.hypervisor().frames().ReadBytes(e.mfn, 0, page, kPageSize);
+        add(page, kPageSize);
+      }
+    }
+  }
+  add_value(sys.hypervisor().FreePoolFrames());
+  return hash;
+}
+
+struct BatchRun {
+  std::vector<DomId> children;
+  std::uint64_t memory = 0;
+  std::string metrics;
+  std::string trace;
+  std::int64_t now_ns = 0;
+};
+
+// One fixed workload: boot a parent, stamp a few data pages, clone a batch,
+// settle the second stage, then COW-write inside one child.
+BatchRun RunBatchWorkload(unsigned batch) {
+  SystemConfig cfg;
+  cfg.hypervisor.pool_frames = 256 * 1024;
+  NepheleSystem sys(cfg);
+
+  DomainConfig dcfg;
+  dcfg.name = "parent";
+  dcfg.memory_mb = 4;
+  dcfg.max_clones = 128;
+  dcfg.with_vif = true;
+  auto parent = sys.toolstack().CreateDomain(dcfg);
+  EXPECT_TRUE(parent.ok());
+  sys.Settle();
+
+  const Gfn first_data = static_cast<Gfn>(dcfg.image_text_pages);
+  for (Gfn i = 0; i < 8; ++i) {
+    EXPECT_TRUE(
+        sys.hypervisor().WriteGuestPage(*parent, first_data + i, 0, kStamp, sizeof(kStamp)).ok());
+  }
+
+  const Domain* p = sys.hypervisor().FindDomain(*parent);
+  auto children =
+      sys.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, batch});
+  EXPECT_TRUE(children.ok()) << children.status().ToString();
+  sys.Settle();
+
+  BatchRun r;
+  if (children.ok()) {
+    r.children = *children;
+    EXPECT_TRUE(sys.hypervisor()
+                    .WriteGuestPage(r.children.front(), first_data, 0, kStamp, sizeof(kStamp))
+                    .ok());
+  }
+  ExpectFrameConsistency(sys);
+  r.memory = MemoryDigest(sys);
+  r.metrics = sys.metrics().ExportJson();
+  r.trace = sys.trace().ExportJson();
+  r.now_ns = sys.Now().ns();
+  return r;
+}
+
+// Repeating the identical workload reproduces it bit for bit — same child
+// ids, guest memory, p2m, metrics export, trace spans and virtual time — at
+// batch sizes 1, 8 and 64.
+TEST(CloneBatchTest, RerunsAreByteIdentical) {
+  for (unsigned batch : {1u, 8u, 64u}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    const BatchRun a = RunBatchWorkload(batch);
+    const BatchRun b = RunBatchWorkload(batch);
+    ASSERT_EQ(a.children.size(), batch);
+    EXPECT_EQ(a.children, b.children);
+    EXPECT_EQ(a.memory, b.memory) << "guest memory diverged";
+    EXPECT_EQ(a.metrics, b.metrics) << "metrics export diverged";
+    EXPECT_EQ(a.trace, b.trace) << "trace spans diverged";
+    EXPECT_EQ(a.now_ns, b.now_ns) << "virtual time diverged";
+  }
+}
+
+// Virtual time charges the batch's critical path: a batch of four costs its
+// slowest child (the first, which pays the first-share rate), exactly what a
+// single clone of the same parent costs — not four times it.
+TEST(CloneBatchTest, VirtualTimeIsCriticalPathNotSum) {
+  auto stage1_ns = [](unsigned batch) {
+    SystemConfig cfg;
+    cfg.hypervisor.pool_frames = 256 * 1024;
+    NepheleSystem sys(cfg);
+    DomainConfig dcfg;
+    dcfg.name = "parent";
+    dcfg.memory_mb = 4;
+    dcfg.max_clones = 16;
+    auto parent = sys.toolstack().CreateDomain(dcfg);
+    EXPECT_TRUE(parent.ok());
+    sys.Settle();
+    const Domain* p = sys.hypervisor().FindDomain(*parent);
+    SimTime before = sys.Now();
+    auto children =
+        sys.clone_engine().Clone({*parent, *parent, p->p2m[p->start_info_gfn].mfn, batch});
+    EXPECT_TRUE(children.ok());
+    std::int64_t ns = (sys.Now() - before).ns();
+    sys.Settle();
+    return ns;
+  };
+  const std::int64_t one = stage1_ns(1);
+  const std::int64_t four = stage1_ns(4);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(four, one);
+}
 
 }  // namespace
 }  // namespace nephele

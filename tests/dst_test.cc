@@ -2,15 +2,16 @@
 //
 // Drives the src/dst op-tape engine end to end: the tape codec, reference
 // model unit checks, corpus replay (tests/dst_corpus) with digest
-// determinism across reruns and clone worker counts, coverage-guided rounds
-// with the full oracle after every op — NEPHELE_DST_ROUNDS overrides the
-// default 400 (0 skips; the sanitizer legs of scripts/check.sh use 40) — and
+// determinism across reruns, coverage-guided rounds with the full oracle
+// after every op — NEPHELE_DST_ROUNDS overrides the default 400 (0 skips, a
+// malformed value fails; the sanitizer leg of scripts/check.sh uses 40) — and
 // seeded-bug proofs that the oracle catches deliberate defects and the
 // shrinker minimises them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,8 @@
 #include <set>
 #include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
 
 #include "src/core/system.h"
 #include "src/dst/ddmin.h"
@@ -66,7 +69,6 @@ TEST(DstScenarioTest, TextRoundTripsEveryOpKind) {
   clone.a = 4;
   clone.c = 5;
   clone.n = 3;
-  clone.workers = 4;
   tape.ops.push_back(clone);
 
   const std::string text = tape.ToText();
@@ -117,7 +119,6 @@ TEST(HvTapeTest, TextRoundTripsEveryOpKind) {
   const std::pair<const char*, std::uint32_t Op::*> kFields[] = {
       {"a", &Op::a}, {"b", &Op::b},         {"c", &Op::c},
       {"n", &Op::n}, {"v", &Op::v},         {"flags", &Op::flags},
-      {"workers", &Op::workers},
   };
   for (std::size_t i = 0; i < kNumOpKinds; ++i) {
     Op op;
@@ -155,7 +156,8 @@ TEST(HvTapeTest, TextRoundTripsEveryOpKind) {
 TEST(HvTapeTest, ParserRejectsMalformedInput) {
   // The hostile vocabulary gets the same strictness as the well-formed one.
   EXPECT_TRUE(Tape::FromText("seed 1\ngrant a=1 b=2 c=3 flags=1\n").ok());  // control
-  EXPECT_FALSE(Tape::FromText("seed 1\ngrant workers=2\n").ok());   // operand the op ignores
+  EXPECT_FALSE(Tape::FromText("seed 1\ngrant n=2\n").ok());         // operand the op ignores
+  EXPECT_FALSE(Tape::FromText("seed 1\nclone workers=4\n").ok());   // retired operand
   EXPECT_FALSE(Tape::FromText("seed 1\nevsend amount=5\n").ok());   // operand the op ignores
   EXPECT_FALSE(Tape::FromText("seed 1\nsettle a=1\n").ok());        // operand the op ignores
   EXPECT_FALSE(Tape::FromText("seed 1\np9 point=x\n").ok());        // fault field off arm
@@ -166,7 +168,7 @@ TEST(HvTapeTest, ParserRejectsMalformedInput) {
   EXPECT_FALSE(Tape::FromText("seed 1\npool_frames\n").ok());       // header without value
   EXPECT_FALSE(Tape::FromText("seed 1\npool_frames 0\n").ok());     // empty pool
   EXPECT_FALSE(Tape::FromText("seed 1\nmap a=4294967296\n").ok());  // 32-bit operand overflow
-  EXPECT_FALSE(Tape::FromText("seed 1\nclone workers=4294967296\n").ok());
+  EXPECT_FALSE(Tape::FromText("seed 1\nclone n=4294967296\n").ok());
   EXPECT_TRUE(Tape::FromText("seed 1\nmap a=4294967295\n").ok());   // 2^32-1 still fits
   EXPECT_FALSE(Tape::FromText("seed 18446744073709551616\n").ok());  // 64-bit overflow
   EXPECT_FALSE(Tape::FromText("seed 1\nadvance amount=99999999999999999999\n").ok());
@@ -303,15 +305,9 @@ TEST(HvFuzzCorpusTest, EveryTapeReplaysOracleClean) {
   EXPECT_GE(ReplayCorpus(/*regressions=*/true), 12u);
 }
 
-TEST(HvFuzzCorpusTest, DigestsAreByteIdenticalAcrossRerunsAndWorkers) {
-  RunOptions one;
-  one.force_workers = 1;
-  RunOptions four;
-  four.force_workers = 4;
+TEST(HvFuzzCorpusTest, DigestsAreByteIdenticalAcrossReruns) {
   for (const auto& [name, tape] : LoadCorpus()) {
-    const std::string d1 = RunTape(tape, one).digest;
-    EXPECT_EQ(d1, RunTape(tape, one).digest) << name << ": rerun diverged";
-    EXPECT_EQ(d1, RunTape(tape, four).digest) << name << ": worker count leaked into the digest";
+    EXPECT_EQ(RunTape(tape).digest, RunTape(tape).digest) << name << ": rerun diverged";
   }
 }
 
@@ -321,12 +317,35 @@ TEST(HvFuzzCorpusTest, DigestsAreByteIdenticalAcrossRerunsAndWorkers) {
 
 constexpr int kDefaultRounds = 400;
 
-int GeneratedRounds() {
-  const char* env = std::getenv("NEPHELE_DST_ROUNDS");
+// NEPHELE_DST_ROUNDS: unset or empty runs kDefaultRounds, 0 skips the
+// generated rounds, a positive decimal integer runs that many. Anything
+// else (`abc`, `-3`, `40x`) is an error naming the value rather than a
+// silent skip or a truncated count.
+Result<int> ParseGeneratedRounds(const char* env) {
   if (env == nullptr || *env == '\0') {
     return kDefaultRounds;
   }
-  return std::atoi(env);
+  const std::string_view text(env);
+  int rounds = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), rounds);
+  if (ec != std::errc() || end != text.data() + text.size() || rounds < 0) {
+    return ErrInvalidArgument("NEPHELE_DST_ROUNDS='" + std::string(text) +
+                              "' is not a non-negative integer");
+  }
+  return rounds;
+}
+
+TEST(DstRoundsEnvTest, ParsesDefaultSkipAndCountAndRejectsTheRest) {
+  EXPECT_EQ(*ParseGeneratedRounds(nullptr), kDefaultRounds);
+  EXPECT_EQ(*ParseGeneratedRounds(""), kDefaultRounds);
+  EXPECT_EQ(*ParseGeneratedRounds("0"), 0);
+  EXPECT_EQ(*ParseGeneratedRounds("40"), 40);
+  for (const char* bad : {"abc", "-3", "40x", " 40", "+40", "4.5", "99999999999"}) {
+    const Result<int> r = ParseGeneratedRounds(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_NE(r.status().ToString().find(std::string("'") + bad + "'"), std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 // The generated rounds: NEPHELE_DST_ROUNDS tapes spread over eight fuzzer
@@ -336,9 +355,8 @@ int GeneratedRounds() {
 constexpr std::uint64_t kFirstHalfSeeds[] = {1, 2, 3, 5};
 constexpr std::uint64_t kSecondHalfSeeds[] = {8, 13, 21, 34};
 
-// Runs each seed's share of `rounds` tapes with default options, so every
-// clone op's `workers` operand switches the staging thread count mid-run,
-// feeds the coverage back, and hands every tape and run to `visit`.
+// Runs each seed's share of `rounds` tapes with default options, feeds the
+// coverage back, and hands every tape and run to `visit`.
 template <typename Visit>
 void ForEachGeneratedRound(std::span<const std::uint64_t> seeds, int rounds, Visit visit) {
   const int per_seed = (rounds + 7) / 8;
@@ -355,83 +373,76 @@ void ForEachGeneratedRound(std::span<const std::uint64_t> seeds, int rounds, Vis
   }
 }
 
-// Every generated tape of one half passes the full oracle; at the default
-// round count the half reaches the whole vocabulary.
-void ExpectRoundsOracleClean(std::span<const std::uint64_t> seeds) {
-  const int rounds = GeneratedRounds();
-  std::size_t executed = 0;
-  std::set<OpKind> kinds;
-  ForEachGeneratedRound(seeds, rounds,
-                        [&](std::uint64_t seed, const Tape& tape, const RunResult& r) {
-    ++executed;
-    for (const Op& op : tape.ops) {
-      kinds.insert(op.kind);
+// Fixture of the generated-round tests: reads NEPHELE_DST_ROUNDS once per
+// test, fails on a malformed value and skips on 0.
+class GeneratedRoundsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const Result<int> parsed = ParseGeneratedRounds(std::getenv("NEPHELE_DST_ROUNDS"));
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    if (*parsed == 0) {
+      GTEST_SKIP() << "NEPHELE_DST_ROUNDS=0";
     }
-    if (!r.ok()) {
-      // A real finding: shrink it and print the minimal tape so it can be
-      // fixed and pinned into tests/dst_corpus/.
-      ShrinkOutcome shrunk = ShrinkTape(tape, r);
-      ADD_FAILURE() << "seed " << seed << " violated oracle '" << r.fail_kind << "' at op "
-                    << r.fail_op << ": " << r.message << "\nminimal tape ("
-                    << shrunk.tape.ops.size() << " ops, " << shrunk.runs << " shrink runs):\n"
-                    << shrunk.tape.ToText() << "\ndigest:\n"
-                    << shrunk.result.digest;
-    }
-  });
-  EXPECT_GE(executed, static_cast<std::size_t>(rounds) / 2);
-  if (rounds >= kDefaultRounds) {
-    EXPECT_EQ(kinds.size(), kNumOpKinds);
+    rounds_ = *parsed;
   }
-}
 
-// Every generated tape of one half yields the same digest with its own
-// per-op worker switches as pinned at 1 and at 4 staging workers, and a
-// spot-checked rerun is byte-identical.
-void ExpectRoundsDeterministic(std::span<const std::uint64_t> seeds) {
-  RunOptions one;
-  one.force_workers = 1;
-  RunOptions four;
-  four.force_workers = 4;
-  int index = 0;
-  ForEachGeneratedRound(seeds, GeneratedRounds(),
-                        [&](std::uint64_t seed, const Tape& tape, const RunResult& r) {
-    EXPECT_EQ(r.digest, RunTape(tape, one).digest)
-        << "seed " << seed << ": worker count changed observable behaviour\n"
-        << tape.ToText();
-    EXPECT_EQ(r.digest, RunTape(tape, four).digest)
-        << "seed " << seed << ": worker count changed observable behaviour\n"
-        << tape.ToText();
-    if (index++ % 8 == 0) {
-      EXPECT_EQ(r.digest, RunTape(tape).digest) << "rerun diverged\n" << tape.ToText();
+  // Every generated tape of one half passes the full oracle; at the default
+  // round count the half reaches the whole vocabulary.
+  void ExpectRoundsOracleClean(std::span<const std::uint64_t> seeds) const {
+    std::size_t executed = 0;
+    std::set<OpKind> kinds;
+    ForEachGeneratedRound(seeds, rounds_,
+                          [&](std::uint64_t seed, const Tape& tape, const RunResult& r) {
+      ++executed;
+      for (const Op& op : tape.ops) {
+        kinds.insert(op.kind);
+      }
+      if (!r.ok()) {
+        // A real finding: shrink it and print the minimal tape so it can be
+        // fixed and pinned into tests/dst_corpus/.
+        ShrinkOutcome shrunk = ShrinkTape(tape, r);
+        ADD_FAILURE() << "seed " << seed << " violated oracle '" << r.fail_kind << "' at op "
+                      << r.fail_op << ": " << r.message << "\nminimal tape ("
+                      << shrunk.tape.ops.size() << " ops, " << shrunk.runs << " shrink runs):\n"
+                      << shrunk.tape.ToText() << "\ndigest:\n"
+                      << shrunk.result.digest;
+      }
+    });
+    EXPECT_GE(executed, static_cast<std::size_t>(rounds_) / 2);
+    if (rounds_ >= kDefaultRounds) {
+      EXPECT_EQ(kinds.size(), kNumOpKinds);
     }
-  });
-}
-
-TEST(DstGenerationTest, TwoHundredGeneratedScenariosSatisfyTheOracle) {
-  if (GeneratedRounds() <= 0) {
-    GTEST_SKIP() << "NEPHELE_DST_ROUNDS=0";
   }
+
+  // Every generated tape of one half yields a byte-identical digest when
+  // rerun.
+  void ExpectRoundsDeterministic(std::span<const std::uint64_t> seeds) const {
+    ForEachGeneratedRound(seeds, rounds_,
+                          [](std::uint64_t seed, const Tape& tape, const RunResult& r) {
+      EXPECT_EQ(r.digest, RunTape(tape).digest)
+          << "seed " << seed << ": rerun diverged\n" << tape.ToText();
+    });
+  }
+
+  int rounds_ = 0;
+};
+
+class DstGenerationTest : public GeneratedRoundsTest {};
+class HvFuzzRoundsTest : public GeneratedRoundsTest {};
+
+TEST_F(DstGenerationTest, TwoHundredGeneratedScenariosSatisfyTheOracle) {
   ExpectRoundsOracleClean(kFirstHalfSeeds);
 }
 
-TEST(HvFuzzRoundsTest, SeededRoundsStayOracleClean) {
-  if (GeneratedRounds() <= 0) {
-    GTEST_SKIP() << "NEPHELE_DST_ROUNDS=0";
-  }
+TEST_F(HvFuzzRoundsTest, SeededRoundsStayOracleClean) {
   ExpectRoundsOracleClean(kSecondHalfSeeds);
 }
 
-TEST(DstGenerationTest, DigestsAreIdenticalAcrossRerunsAndWorkerCounts) {
-  if (GeneratedRounds() <= 0) {
-    GTEST_SKIP() << "NEPHELE_DST_ROUNDS=0";
-  }
+TEST_F(DstGenerationTest, DigestsAreIdenticalAcrossReruns) {
   ExpectRoundsDeterministic(kFirstHalfSeeds);
 }
 
-TEST(HvFuzzRoundsTest, GeneratedTapesAreWorkerCountInvariant) {
-  if (GeneratedRounds() <= 0) {
-    GTEST_SKIP() << "NEPHELE_DST_ROUNDS=0";
-  }
+TEST_F(HvFuzzRoundsTest, GeneratedTapesReplayIdentically) {
   ExpectRoundsDeterministic(kSecondHalfSeeds);
 }
 

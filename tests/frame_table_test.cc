@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
 #include "src/hypervisor/frame_table.h"
@@ -8,53 +7,6 @@
 
 namespace nephele {
 namespace {
-
-// StageShareAll from one thread is ShareFirst + ShareAgain per extra sharer.
-TEST(FrameTable, StageShareAllMatchesShareFirstAgain) {
-  FrameTable ft(16);
-  std::vector<Mfn> mfns;
-  for (int i = 0; i < 8; ++i) {
-    mfns.push_back(*ft.Alloc(1));
-  }
-  ft.StageShareAll(mfns, /*seed=*/0);  // first sharer
-  ft.StageShareAll(mfns, /*seed=*/1);  // second sharer
-  for (Mfn m : mfns) {
-    EXPECT_TRUE(ft.IsShared(m));
-    EXPECT_EQ(ft.OwnerOf(m), kDomCow);
-    EXPECT_EQ(ft.info(m).refcount.load(), 3u);  // owner + two stagers
-  }
-  EXPECT_EQ(ft.shared_frames(), mfns.size());
-  EXPECT_EQ(ft.frames_saved_by_sharing(), 2 * mfns.size());
-}
-
-// The concurrency contract: many workers staging the same frames at once,
-// each with a different shard-rotation seed, land on the exact same state
-// as the serial equivalent — every sharer counted, each first-share
-// transition applied once.
-TEST(FrameTable, StageShareAllIsExactUnderConcurrency) {
-  constexpr int kWorkers = 8;
-  constexpr int kFrames = 1000;
-  FrameTable ft(kFrames);
-  std::vector<Mfn> mfns;
-  for (int i = 0; i < kFrames; ++i) {
-    mfns.push_back(*ft.Alloc(1));
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(kWorkers);
-  for (int w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&ft, &mfns, w] { ft.StageShareAll(mfns, static_cast<std::size_t>(w)); });
-  }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  for (Mfn m : mfns) {
-    EXPECT_TRUE(ft.IsShared(m));
-    EXPECT_EQ(ft.OwnerOf(m), kDomCow);
-    EXPECT_EQ(ft.info(m).refcount.load(), 1u + kWorkers);
-  }
-  EXPECT_EQ(ft.shared_frames(), static_cast<std::size_t>(kFrames));
-  EXPECT_EQ(ft.frames_saved_by_sharing(), static_cast<std::size_t>(kWorkers) * kFrames);
-}
 
 TEST(FrameTable, AllocAndRelease) {
   FrameTable ft(16);

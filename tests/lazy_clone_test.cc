@@ -1,7 +1,7 @@
 // Post-copy (lazy) cloning suite (ctest label `lazy`): a fully-streamed lazy
 // clone must be observationally identical to an eager one — same guest
-// memory, same p2m topology and writability, same pool level — at every
-// clone-worker count; the stream and demand-fault counters must move by
+// memory, same p2m topology and writability, same pool level — on every
+// rerun; the stream and demand-fault counters must move by
 // exactly the pages they claim; a half-streamed child must tear down without
 // leaking a frame in either destruction order; the invariant oracle must
 // flag corrupted partially-mapped state; the scheduler must finish a child's
@@ -28,10 +28,9 @@ namespace {
 constexpr std::uint8_t kStamp[16] = {0x4c, 0x41, 0x5a, 0x59, 9, 8, 7, 6,
                                      5,    4,    3,    2,    1, 0, 1, 2};
 
-SystemConfig LazySystem(unsigned workers, bool manual_stream) {
+SystemConfig LazySystem(bool manual_stream) {
   SystemConfig cfg;
   cfg.hypervisor.pool_frames = 256 * 1024;
-  cfg.clone_worker_threads = workers;
   if (manual_stream) {
     cfg.lazy_clone.auto_stream = false;
   }
@@ -105,11 +104,11 @@ std::uint64_t StateDigest(NepheleSystem& sys) {
   return h;
 }
 
-// One workload at a given worker count: boot, stamp, clone a 4-batch (eager
-// or lazy), fully stream every lazy child, then COW-write in the first
-// child. Returns the end-state digest.
-std::uint64_t RunWorkload(unsigned workers, bool lazy) {
-  NepheleSystem sys(LazySystem(workers, /*manual_stream=*/lazy));
+// One workload: boot, stamp, clone a 4-batch (eager or lazy), fully stream
+// every lazy child, then COW-write in the first child. Returns the
+// end-state digest.
+std::uint64_t RunWorkload(bool lazy) {
+  NepheleSystem sys(LazySystem(/*manual_stream=*/lazy));
   const DomId parent = BootStampedParent(sys);
   auto children = CloneBatch(sys, parent, 4, lazy);
   EXPECT_TRUE(children.ok()) << children.status().ToString();
@@ -132,21 +131,18 @@ std::uint64_t RunWorkload(unsigned workers, bool lazy) {
 
 // --- Digest equivalence: lazy ends where eager starts. ---
 
-TEST(LazyCloneEquivalence, FullyStreamedLazyMatchesEagerAtEveryWorkerCount) {
-  const std::uint64_t eager = RunWorkload(1, /*lazy=*/false);
-  const std::uint64_t lazy = RunWorkload(1, /*lazy=*/true);
+TEST(LazyCloneEquivalence, FullyStreamedLazyMatchesEager) {
+  const std::uint64_t eager = RunWorkload(/*lazy=*/false);
+  const std::uint64_t lazy = RunWorkload(/*lazy=*/true);
   EXPECT_EQ(lazy, eager) << "a fully-streamed lazy clone diverged from the eager machine";
-  for (unsigned workers : {2u, 4u, 8u}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    EXPECT_EQ(RunWorkload(workers, /*lazy=*/false), eager);
-    EXPECT_EQ(RunWorkload(workers, /*lazy=*/true), eager);
-  }
+  EXPECT_EQ(RunWorkload(/*lazy=*/false), eager) << "eager rerun diverged";
+  EXPECT_EQ(RunWorkload(/*lazy=*/true), eager) << "lazy rerun diverged";
 }
 
 // --- Exact counter accounting. ---
 
 TEST(LazyCloneCounters, StreamedPagesAndDemandFaultsMoveByExactlyTheirPages) {
-  NepheleSystem sys(LazySystem(1, /*manual_stream=*/true));
+  NepheleSystem sys(LazySystem(/*manual_stream=*/true));
   MetricsRegistry& m = sys.metrics();
   const DomId parent = BootStampedParent(sys);
 
@@ -202,7 +198,7 @@ TEST(LazyCloneCounters, StreamedPagesAndDemandFaultsMoveByExactlyTheirPages) {
 // --- Teardown of half-streamed children conserves frames. ---
 
 TEST(LazyCloneTeardown, HalfStreamedChildLeaksNothingInEitherDestructionOrder) {
-  NepheleSystem sys(LazySystem(1, /*manual_stream=*/true));
+  NepheleSystem sys(LazySystem(/*manual_stream=*/true));
   const std::size_t boot_free = sys.hypervisor().FreePoolFrames();
 
   // Order 1: the child dies mid-stream (it abandons its own stream).
@@ -256,7 +252,7 @@ TEST(LazyCloneTeardown, HalfStreamedChildLeaksNothingInEitherDestructionOrder) {
 // --- The oracle sees corrupted partially-mapped state. ---
 
 TEST(LazyCloneInvariants, OracleFlagsWritableHoleAndLedgerDrift) {
-  NepheleSystem sys(LazySystem(1, /*manual_stream=*/true));
+  NepheleSystem sys(LazySystem(/*manual_stream=*/true));
   const DomId parent = BootStampedParent(sys);
   auto children = CloneBatch(sys, parent, 1, /*lazy=*/true);
   ASSERT_TRUE(children.ok());
@@ -292,7 +288,7 @@ TEST(LazyCloneInvariants, OracleFlagsWritableHoleAndLedgerDrift) {
 // --- Scheduler: streams finish before a child parks. ---
 
 TEST(LazySchedDispatch, ReleaseFinishesTheStreamBeforeParking) {
-  SystemConfig cfg = LazySystem(1, /*manual_stream=*/true);
+  SystemConfig cfg = LazySystem(/*manual_stream=*/true);
   cfg.sched.lazy_dispatch = true;
   NepheleSystem sys(cfg);
   CloneScheduler sched(sys);
@@ -330,7 +326,7 @@ TEST(LazySchedDispatch, ReleaseFinishesTheStreamBeforeParking) {
 // --- The stream_stall alarm. ---
 
 TEST(LazyStreamAlarm, StallRaisesWhileBacklogPersistsAndClearsWhenDrained) {
-  SystemConfig cfg = LazySystem(1, /*manual_stream=*/true);
+  SystemConfig cfg = LazySystem(/*manual_stream=*/true);
   cfg.tsdb.tick_interval = SimDuration::Millis(1);
   NepheleSystem sys(cfg);
   TsdbCollector tsdb(sys.metrics(), sys.loop(), sys.config().tsdb);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/system.h"
@@ -86,61 +85,6 @@ TEST(Histogram, EmptyHistogramReportsZeros) {
   EXPECT_EQ(h.min(), 0);
   EXPECT_EQ(h.max(), 0);
   EXPECT_EQ(h.mean(), 0.0);
-}
-
-// The registry is safe for concurrent recording (clone-engine workers record
-// while the simulation thread plans): counters, gauges, histograms and the
-// find-or-create maps all take concurrent traffic without losing an update.
-TEST(MetricsRegistry, ConcurrentRecordingIsExact) {
-  MetricsRegistry reg;
-  Counter& shared_counter = reg.GetCounter("mt/ops");
-  Gauge& shared_gauge = reg.GetGauge("mt/level");
-  Histogram& shared_hist = reg.GetHistogram("mt/lat", {64, 512, 4096});
-
-  constexpr int kThreads = 8;
-  constexpr std::int64_t kOps = 10'000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&reg, &shared_counter, &shared_gauge, &shared_hist, t] {
-      // A per-thread counter created mid-run contends on the registry map.
-      Counter& own = reg.GetCounter("mt/thread/" + std::to_string(t));
-      for (std::int64_t i = 0; i < kOps; ++i) {
-        shared_counter.Increment();
-        own.Increment(2);
-        shared_gauge.Add(1);
-        shared_hist.Observe(i % 6000);
-        // Lookups race the other threads' creations.
-        reg.GetHistogram("mt/lat").Observe(i % 6000);
-      }
-    });
-  }
-  for (std::thread& th : threads) {
-    th.join();
-  }
-
-  EXPECT_EQ(shared_counter.value(), static_cast<std::uint64_t>(kThreads) * kOps);
-  EXPECT_EQ(reg.GaugeValue("mt/level"), kThreads * kOps);
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(reg.CounterValue("mt/thread/" + std::to_string(t)),
-              static_cast<std::uint64_t>(kOps) * 2);
-  }
-  EXPECT_EQ(shared_hist.count(), static_cast<std::uint64_t>(kThreads) * kOps * 2);
-  std::int64_t per_thread_sum = 0;
-  for (std::int64_t i = 0; i < kOps; ++i) {
-    per_thread_sum += i % 6000;
-  }
-  EXPECT_EQ(shared_hist.sum(), kThreads * per_thread_sum * 2);
-  EXPECT_EQ(shared_hist.min(), 0);
-  EXPECT_EQ(shared_hist.max(), 5999);
-  std::uint64_t bucket_total = 0;
-  for (std::size_t b = 0; b <= shared_hist.bounds().size(); ++b) {
-    bucket_total += shared_hist.BucketCount(b);
-  }
-  EXPECT_EQ(bucket_total, shared_hist.count());
-
-  std::string error;
-  EXPECT_TRUE(JsonIsWellFormed(reg.ExportJson(), &error)) << error;
 }
 
 // ---------------------------------------------------------------------------

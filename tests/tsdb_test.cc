@@ -1,6 +1,6 @@
 // The telemetry pipeline: RingSeries edge cases, collector sampling and
 // windowed aggregation, alarm hysteresis, and byte-determinism of the
-// TSDB/alarm exports across reruns and clone worker counts.
+// TSDB/alarm exports across reruns.
 
 #include <gtest/gtest.h>
 
@@ -308,9 +308,8 @@ TEST(AlarmEngineTest, DefaultRulesCoverThrashRollbacksStreamStallsAndReqTails) {
 
 // The golden workload shape of golden_schema_test, reduced: boot, clone a
 // batch, tick the collector through it.
-std::pair<std::string, std::string> RunAndExport(unsigned clone_workers) {
+std::pair<std::string, std::string> RunAndExport() {
   SystemConfig cfg;
-  cfg.clone_worker_threads = clone_workers;
   cfg.tsdb.tick_interval = SimDuration::Millis(1);
   cfg.tsdb.ring_capacity = 16;
   NepheleSystem sys(cfg);
@@ -334,14 +333,11 @@ std::pair<std::string, std::string> RunAndExport(unsigned clone_workers) {
   return {tsdb.ExportJson(), alarms.ExportJson()};
 }
 
-TEST(TsdbDeterminismTest, ExportsAreByteIdenticalAcrossRerunsAndWorkerCounts) {
-  auto [tsdb_w1_a, alarm_w1_a] = RunAndExport(1);
-  auto [tsdb_w1_b, alarm_w1_b] = RunAndExport(1);
-  auto [tsdb_w4, alarm_w4] = RunAndExport(4);
-  EXPECT_EQ(tsdb_w1_a, tsdb_w1_b) << "TSDB export must be stable across reruns";
-  EXPECT_EQ(alarm_w1_a, alarm_w1_b) << "alarm export must be stable across reruns";
-  EXPECT_EQ(tsdb_w1_a, tsdb_w4) << "TSDB export must not depend on clone worker count";
-  EXPECT_EQ(alarm_w1_a, alarm_w4) << "alarm export must not depend on clone worker count";
+TEST(TsdbDeterminismTest, ExportsAreByteIdenticalAcrossReruns) {
+  auto [tsdb_a, alarm_a] = RunAndExport();
+  auto [tsdb_b, alarm_b] = RunAndExport();
+  EXPECT_EQ(tsdb_a, tsdb_b) << "TSDB export must be stable across reruns";
+  EXPECT_EQ(alarm_a, alarm_b) << "alarm export must be stable across reruns";
 }
 
 }  // namespace
