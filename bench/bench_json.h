@@ -16,8 +16,9 @@
 // documents are byte-deterministic: no printf("%g") locale or shortest-
 // round-trip ambiguity. Metric names are emitted sorted.
 //
-// NEPHELE_BENCH_HANDICAP (a positive float, default 1) synthetically
-// worsens every WALL metric at Add() time — lower-is-better values are
+// NEPHELE_BENCH_HANDICAP (a positive decimal number, default 1 when unset
+// or empty; anything else exits 2 naming the value) synthetically worsens
+// every WALL metric at Add() time — lower-is-better values are
 // multiplied, higher-is-better divided. It exists for one purpose: the
 // gate's self-test runs a bench under a 4x handicap and asserts the gate
 // FAILS, proving the comparison actually bites. Sim metrics are never
@@ -26,6 +27,7 @@
 #ifndef BENCH_BENCH_JSON_H_
 #define BENCH_BENCH_JSON_H_
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -94,8 +96,14 @@ class BenchJsonWriter {
     if (env == nullptr || *env == '\0') {
       return 1.0;
     }
-    double h = std::strtod(env, nullptr);
-    return h > 0.0 ? h : 1.0;
+    const std::string_view text(env);
+    double h = 0.0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), h);
+    if (ec != std::errc() || end != text.data() + text.size() || !std::isfinite(h) || h <= 0.0) {
+      std::fprintf(stderr, "NEPHELE_BENCH_HANDICAP wants a positive number, got '%s'\n", env);
+      std::exit(2);
+    }
+    return h;
   }
 
   static std::int64_t ToMicros(double v) {

@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <map>
-#include <memory>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -46,11 +45,9 @@ namespace nephele {
 
 class CloneEngine {
  public:
-  // Every service in `services` may be null: the engine then records into a
-  // private registry (standalone constructions in tests keep working), skips
-  // tracing, and never arms its stage-1 fault points. NepheleSystem passes
-  // services() so the whole stack exports through one registry.
-  explicit CloneEngine(Hypervisor& hv, const SystemServices& services = {});
+  // Records into services.metrics, traces stage 1 into services.trace and
+  // registers its stage-1, reset and lazy fault points with services.faults.
+  CloneEngine(Hypervisor& hv, const SystemServices& services);
 
   // ---------------------------------------------------------------------
   // CLONEOP subcommands.
@@ -89,13 +86,13 @@ class CloneEngine {
   // ---------------------------------------------------------------------
   // Lazy (post-copy) cloning.
   // ---------------------------------------------------------------------
-  // A CloneRequest with `lazy` set (and LazyCloneConfig::enabled) maps only
-  // the hot working set in stage 1; every other kData page becomes a
-  // not-present p2m entry backed by the parent, recorded in the child's
-  // deferred ledger (Domain::lazy_deferred_pages). The remainder streams in
-  // through a background prefetcher on the event loop, with demand faults
-  // (guest writes, grants, clone_cow) materialising individual pages ahead
-  // of the stream. A fully-streamed lazy child is state-for-state identical
+  // A CloneRequest with `lazy` set maps only the hot working set in stage 1;
+  // every other kData page becomes a not-present p2m entry backed by the
+  // parent, recorded in the child's deferred ledger
+  // (Domain::lazy_deferred_pages). The remainder streams in through a
+  // background prefetcher on the event loop, with demand faults (guest
+  // writes, grants, clone_cow) materialising individual pages ahead of the
+  // stream. A fully-streamed lazy child is state-for-state identical
   // to an eager clone of the same parent.
 
   // Replaces the prefetcher knobs. Affects batches planned and stream
@@ -142,10 +139,6 @@ class CloneEngine {
   void RemoveObserver(CloneObserver* observer);
 
   const CloneStats& stats() const { return stats_; }
-
-  // Registry this engine records into (its own fallback unless one was
-  // injected).
-  MetricsRegistry& metrics() { return *metrics_; }
 
  private:
   // Per-child output of the plan phase: everything StageChild needs to build
@@ -290,9 +283,7 @@ class CloneEngine {
   CloneNotificationRing ring_;
   CloneStats stats_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
 
   Counter& m_clones_;
   Counter& m_batches_;
@@ -316,16 +307,15 @@ class CloneEngine {
   Histogram& m_stage1_ns_;
   Histogram& m_stage2_ns_;
 
-  // Stage-1 fault points (null when no injector was passed).
-  FaultPoint* f_stage1_create_ = nullptr;
-  FaultPoint* f_stage1_memory_ = nullptr;
-  FaultPoint* f_stage1_share_ = nullptr;
-  FaultPoint* f_stage1_page_tables_ = nullptr;
-  FaultPoint* f_stage1_grants_ = nullptr;
-  FaultPoint* f_stage1_evtchns_ = nullptr;
-  FaultPoint* f_reset_ = nullptr;
-  FaultPoint* f_lazy_stream_ = nullptr;
-  FaultPoint* f_lazy_demand_ = nullptr;
+  FaultPoint* f_stage1_create_;
+  FaultPoint* f_stage1_memory_;
+  FaultPoint* f_stage1_share_;
+  FaultPoint* f_stage1_page_tables_;
+  FaultPoint* f_stage1_grants_;
+  FaultPoint* f_stage1_evtchns_;
+  FaultPoint* f_reset_;
+  FaultPoint* f_lazy_stream_;
+  FaultPoint* f_lazy_demand_;
 
   std::vector<CloneObserver*> observers_;
   // Outstanding second-stage completions per parent.

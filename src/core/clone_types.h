@@ -58,9 +58,6 @@ struct CloneRequest {
 // Knobs of the lazy-clone (post-copy) background prefetcher. Like
 // SchedulerConfig this lives here so SystemConfig carries the knob surface.
 struct LazyCloneConfig {
-  // Master gate: when false, requests with lazy=true degrade to eager
-  // full-copy clones (every page mapped in stage 1).
-  bool enabled = true;
   // Pages materialised per prefetcher batch.
   std::size_t stream_batch_pages = 64;
   // Delay between consecutive prefetcher batches of one child (the stream's
@@ -102,12 +99,6 @@ struct SchedulerConfig {
   // LRU-first until Toolstack::Dom0FreeBytes() is back above this. 0
   // disables pressure eviction.
   std::size_t dom0_low_watermark_bytes = 0;
-  // Telemetry feedback (SchedulerAlarmFeedback): while the warm-pool-thrash
-  // alarm is raised, the batch window is stretched by this factor — wider
-  // windows coalesce more requests per batch, easing churn — and LRU
-  // eviction is frozen so the pool stops shedding children it is about to
-  // need again. Must be >= 1.
-  double thrash_window_multiplier = 4.0;
   // Dispatch cold batches as lazy (post-copy) clones: children are granted
   // as soon as their hot working set is mapped and stream the rest in the
   // background. Release() finishes a child's stream before parking it, so
@@ -157,8 +148,6 @@ struct LoadConfig {
   // most this many duplicates hold an acquired instance at once; the rest
   // wait in the dispatcher's FIFO.
   std::size_t max_concurrent = 8;
-  // Pending duplicates the dispatcher queues; overflow rejects.
-  std::size_t max_pending = 4096;
   // Per-request service demand, priced by the cost model: touching
   // `service_pages` guest pages, `service_p9_rpcs` 9p RPCs and
   // `service_net_packets` packets through the split driver. Each
@@ -168,9 +157,6 @@ struct LoadConfig {
   std::size_t service_pages = 512;
   std::size_t service_p9_rpcs = 4;
   std::size_t service_net_packets = 8;
-  // Recent win latencies backing the req/latency_p99_ns gauge (the series
-  // the req_tail alarm watches).
-  std::size_t tail_window = 256;
 };
 
 // One entry of the hypervisor -> xencloned notification ring. "A

@@ -1,11 +1,14 @@
 // Host: one fully-wired virtualization host — hypervisor, Xenstore, device
-// backends, toolstack, clone engine and xencloned — running on a shared
-// discrete-event loop owned by the ClusterFabric (src/core/fabric.h). Every
-// host keeps its own MetricsRegistry, TraceRecorder and FaultInjector, so a
-// host's observable behaviour (metric names, golden exports, fault-point
-// sets) is identical whether it runs alone behind the NepheleSystem facade
-// or as one of N fabric peers; cluster-level exports tag each host's metrics
-// with its `metrics_prefix()` ("hostN/") instead of renaming them in place.
+// backends, toolstack, clone engine and xencloned — running on a
+// discrete-event loop it does not own: a ClusterFabric (src/core/fabric.h)
+// shares one loop among its hosts, and a NepheleSystem (src/core/system.h)
+// owns the loop of its single host. Host is the only place these components
+// are wired: it owns the MetricsRegistry, TraceRecorder and FaultInjector
+// every one of them records into, so a host's observable behaviour (metric
+// names, golden exports, fault-point sets) is identical whether it runs as a
+// NepheleSystem or as one of N fabric peers; cluster-level exports tag each
+// host's metrics with its `metrics_prefix()` ("hostN/") instead of renaming
+// them in place.
 
 #ifndef SRC_CORE_HOST_H_
 #define SRC_CORE_HOST_H_
@@ -62,8 +65,8 @@ struct SystemConfig {
 
 class Host {
  public:
-  // `loop` outlives the host; the fabric owns it. `index` names the host in
-  // cluster-level exports ("host0/", "host1/", ...).
+  // `loop` outlives the host. `index` names the host in cluster-level
+  // exports ("host0/", "host1/", ...).
   explicit Host(EventLoop& loop, SystemConfig config = {}, std::size_t index = 0);
 
   Host(const Host&) = delete;
@@ -99,14 +102,10 @@ class Host {
   // sweeps keep enumerating exactly the host-local surface.
   FaultInjector& fault_injector() { return faults_; }
 
-  // The service bundle (metrics + trace + faults) components constructed on
-  // top of this host (GuestManager, CloneScheduler, ...) should receive.
-  SystemServices services() { return SystemServices{&metrics_, &trace_, &faults_}; }
-
   // The configuration this host was built with.
   const SystemConfig& config() const { return config_; }
 
-  // Runs the (shared) event loop until idle.
+  // Runs the event loop until idle.
   void Settle() { loop_.Run(); }
   SimTime Now() const { return loop_.Now(); }
 
@@ -118,7 +117,7 @@ class Host {
   std::string metrics_prefix_;
   MetricsRegistry metrics_;  // constructed before every subsystem using it
   TraceRecorder trace_{loop_};
-  FaultInjector faults_{&metrics_};
+  FaultInjector faults_{metrics_};
   std::unique_ptr<Hypervisor> hv_;
   std::unique_ptr<XenstoreDaemon> xs_;
   std::unique_ptr<DeviceManager> devices_;

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 
 #include "src/base/result.h"
@@ -41,12 +40,11 @@ struct XenclonedStats {
 
 class Xencloned {
  public:
-  // Every service in `services` may be null: the daemon then records into a
-  // private registry, skips tracing (standalone constructions keep working),
-  // and never arms the xencloned/stage2 fault point.
+  // Records into services.metrics, traces stage 2 into services.trace and
+  // registers the xencloned/stage2 fault point with services.faults.
   Xencloned(Hypervisor& hv, CloneEngine& engine, XenstoreDaemon& xs, DeviceManager& devices,
             Toolstack& toolstack, EventLoop& loop, const CostModel& costs,
-            const SystemServices& services = {});
+            const SystemServices& services);
 
   // Binds VIRQ_CLONED, submits the notification ring and enables cloning
   // globally — the daemon's startup sequence.
@@ -96,16 +94,14 @@ class Xencloned {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
   Counter& m_clones_completed_;
   Counter& m_clones_aborted_;
   Counter& m_cache_hits_;
   Counter& m_cache_misses_;
   Counter& m_deep_copy_writes_;
   Histogram& m_stage2_ns_;
-  FaultPoint* f_stage2_ = nullptr;
+  FaultPoint* f_stage2_;
 
   bool use_xs_clone_ = true;
   std::map<DomId, ParentInfoCache> parent_cache_;

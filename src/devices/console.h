@@ -21,18 +21,18 @@ namespace nephele {
 
 class ConsoleBackend {
  public:
-  ConsoleBackend(EventLoop& loop, const CostModel& costs) : loop_(loop), costs_(costs) {}
+  // Registers the "devices/console_clone" fault point with `faults`.
+  ConsoleBackend(EventLoop& loop, const CostModel& costs, FaultInjector& faults)
+      : loop_(loop), costs_(costs), f_clone_(faults.GetPoint("devices/console_clone")) {}
 
   // Boot path: creates the console state for a new domain.
   Status CreateConsole(DomId dom, Gfn ring_gfn);
 
   // Clone path: the child console starts with an EMPTY ring; only the
   // backend bookkeeping is created. No QEMU code changes were needed in the
-  // paper — Xenstore watch delivery triggers this.
+  // paper — Xenstore watch delivery triggers this. Pokes the clone fault
+  // point first.
   Status CloneConsole(DomId parent, DomId child, Gfn child_ring_gfn);
-
-  // Fault point poked at the top of CloneConsole (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyConsole(DomId dom);
 
@@ -55,7 +55,7 @@ class ConsoleBackend {
 
   EventLoop& loop_;
   const CostModel& costs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint* f_clone_;
   std::map<DomId, ConsoleState> consoles_;
 };
 

@@ -3,22 +3,16 @@
 namespace nephele {
 
 DeviceManager::DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop,
-                             const CostModel& costs, FaultInjector* faults)
+                             const CostModel& costs, FaultInjector& faults)
     : hv_(hv),
       xs_(xs),
       loop_(loop),
       costs_(costs),
-      console_(loop, costs),
-      netback_(hv, loop, costs),
-      p9_(loop, costs, hostfs_),
-      vbd_(loop, costs) {
+      console_(loop, costs, faults),
+      netback_(hv, loop, costs, faults),
+      p9_(loop, costs, hostfs_, faults),
+      vbd_(loop, costs, faults) {
   netback_.set_udev_emitter([this](const UdevEvent& event) { DispatchUdev(event); });
-  if (faults != nullptr) {
-    console_.SetCloneFaultPoint(faults->GetPoint("devices/console_clone"));
-    netback_.SetCloneFaultPoint(faults->GetPoint("devices/net_clone"));
-    p9_.SetCloneFaultPoint(faults->GetPoint("devices/p9_clone"));
-    vbd_.SetCloneFaultPoint(faults->GetPoint("devices/vbd_clone"));
-  }
 }
 
 void DeviceManager::DispatchUdev(const UdevEvent& event) {

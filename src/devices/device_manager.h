@@ -22,9 +22,9 @@ namespace nephele {
 
 class DeviceManager {
  public:
-  // `faults` may be null — device clone fault points are then never armed.
+  // Every backend registers its clone fault point with `faults`.
   DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop, const CostModel& costs,
-                FaultInjector* faults = nullptr);
+                FaultInjector& faults);
 
   ConsoleBackend& console() { return console_; }
   NetBackend& netback() { return netback_; }

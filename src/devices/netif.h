@@ -121,8 +121,9 @@ class Vif : public SwitchPort {
 
 class NetBackend {
  public:
-  NetBackend(Hypervisor& hv, EventLoop& loop, const CostModel& costs)
-      : hv_(hv), loop_(loop), costs_(costs) {}
+  // Registers the "devices/net_clone" fault point with `faults`.
+  NetBackend(Hypervisor& hv, EventLoop& loop, const CostModel& costs, FaultInjector& faults)
+      : hv_(hv), loop_(loop), costs_(costs), f_clone_(faults.GetPoint("devices/net_clone")) {}
 
   using UdevEmitter = std::function<void(const UdevEvent&)>;
   void set_udev_emitter(UdevEmitter emitter) { udev_ = std::move(emitter); }
@@ -133,12 +134,10 @@ class NetBackend {
   Result<Vif*> ConnectDevice(DeviceId id, NetFrontend* frontend);
 
   // Clone path: the Sec. 5.2.1 shortcut — creates the child vif directly in
-  // Connected state and copies both rings from the parent device.
+  // Connected state and copies both rings from the parent device. Pokes
+  // the clone fault point first.
   Result<Vif*> CloneDevice(const DeviceId& parent, const DeviceId& child,
                            NetFrontend* child_frontend);
-
-  // Fault point poked at the top of CloneDevice (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyDevice(const DeviceId& id);
 
@@ -160,7 +159,7 @@ class NetBackend {
   Hypervisor& hv_;
   EventLoop& loop_;
   const CostModel& costs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint* f_clone_;
   UdevEmitter udev_;
   std::map<DeviceId, std::unique_ptr<Vif>> vifs_;
   std::uint64_t packets_forwarded_ = 0;

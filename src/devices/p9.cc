@@ -220,7 +220,7 @@ Result<P9BackendProcess*> P9BackendRegistry::LaunchForDomain(DomId dom,
 }
 
 Status P9BackendRegistry::CloneForChild(DomId parent, DomId child) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_clone_->Poke());
   P9BackendProcess* proc = FindServing(parent);
   if (proc == nullptr) {
     return ErrNotFound("no backend serves parent");

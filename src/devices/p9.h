@@ -86,17 +86,16 @@ class P9BackendProcess {
 // Launches and finds backend processes: one per (family, export).
 class P9BackendRegistry {
  public:
-  P9BackendRegistry(EventLoop& loop, const CostModel& costs, HostFs& fs)
-      : loop_(loop), costs_(costs), fs_(fs) {}
+  // Registers the "devices/p9_clone" fault point with `faults`.
+  P9BackendRegistry(EventLoop& loop, const CostModel& costs, HostFs& fs, FaultInjector& faults)
+      : loop_(loop), costs_(costs), fs_(fs), f_clone_(faults.GetPoint("devices/p9_clone")) {}
 
   // Boot path: xl launches a backend process for the new guest.
   Result<P9BackendProcess*> LaunchForDomain(DomId dom, const std::string& export_root);
 
   // Clone path: xencloned sends a QMP clone request to the parent's process.
+  // Pokes the clone fault point first.
   Status CloneForChild(DomId parent, DomId child);
-
-  // Fault point poked at the top of CloneForChild (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   P9BackendProcess* FindServing(DomId dom);
   std::size_t NumProcesses() const { return processes_.size(); }
@@ -106,7 +105,7 @@ class P9BackendRegistry {
   EventLoop& loop_;
   const CostModel& costs_;
   HostFs& fs_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint* f_clone_;
   std::vector<std::unique_ptr<P9BackendProcess>> processes_;
 };
 

@@ -71,17 +71,17 @@ struct VbdDisk {
 
 class VbdBackend {
  public:
-  VbdBackend(EventLoop& loop, const CostModel& costs) : loop_(loop), costs_(costs) {}
+  // Registers the "devices/vbd_clone" fault point with `faults`.
+  VbdBackend(EventLoop& loop, const CostModel& costs, FaultInjector& faults)
+      : loop_(loop), costs_(costs), f_clone_(faults.GetPoint("devices/vbd_clone")) {}
 
   // Boot path: creates a zero-filled disk of `size_mb` and connects it.
   Status CreateDisk(const DeviceId& id, std::size_t size_mb);
 
   // Clone path (xencloned): the child disk snapshots the parent's — block
   // table copied, every block reference-counted; both sides COW from here.
+  // Pokes the clone fault point first.
   Status CloneDisk(const DeviceId& parent, const DeviceId& child);
-
-  // Fault point poked at the top of CloneDisk (null = never fires).
-  void SetCloneFaultPoint(FaultPoint* point) { f_clone_ = point; }
 
   Status DestroyDisk(const DeviceId& id);
 
@@ -104,7 +104,7 @@ class VbdBackend {
   EventLoop& loop_;
   const CostModel& costs_;
   BlockStore store_;
-  FaultPoint* f_clone_ = nullptr;
+  FaultPoint* f_clone_;
   std::map<DeviceId, VbdDisk> disks_;
 };
 

@@ -85,10 +85,8 @@ void FaultPoint::Disarm() {
   fired_once_ = false;
 }
 
-FaultInjector::FaultInjector(MetricsRegistry* metrics)
-    : own_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(metrics == nullptr ? own_metrics_.get() : metrics),
-      injected_counter_(metrics_->GetCounter("fault/injected")) {}
+FaultInjector::FaultInjector(MetricsRegistry& metrics)
+    : injected_counter_(metrics.GetCounter("fault/injected")) {}
 
 FaultPoint* FaultInjector::GetPoint(std::string_view name) {
   auto it = points_.find(name);

@@ -113,12 +113,11 @@ struct FaultPlan {
 };
 
 // Registry of fault points. Single-threaded, like the rest of the
-// simulation. `metrics` may be null (tests constructing subsystems in
-// isolation); the injector then keeps its own private registry so handle
-// wiring stays unconditional.
+// simulation. Every injection bumps the "fault/injected" counter in
+// `metrics`.
 class FaultInjector {
  public:
-  explicit FaultInjector(MetricsRegistry* metrics = nullptr);
+  explicit FaultInjector(MetricsRegistry& metrics);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -153,15 +152,8 @@ class FaultInjector {
 
  private:
   std::map<std::string, std::unique_ptr<FaultPoint>, std::less<>> points_;
-  std::unique_ptr<MetricsRegistry> own_metrics_;
-  MetricsRegistry* metrics_;
   Counter& injected_counter_;
 };
-
-// Null-safe guard for subsystems whose injector is optional.
-inline Status PokeFault(FaultPoint* point) {
-  return point == nullptr ? Status::Ok() : point->Poke();
-}
 
 }  // namespace nephele
 

@@ -39,12 +39,10 @@ struct HypervisorConfig {
 
 class Hypervisor {
  public:
-  // `metrics` may be null: the hypervisor then records into a private
-  // registry so standalone constructions stay valid. NepheleSystem injects
-  // its shared registry.
-  // `faults` may also be null — fault points are then never armed.
-  Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig config = {},
-             MetricsRegistry* metrics = nullptr, FaultInjector* faults = nullptr);
+  // Records into `metrics` and registers its fault points with `faults`;
+  // Host passes its own registry and injector.
+  Hypervisor(EventLoop& loop, const CostModel& costs, HypervisorConfig config,
+             MetricsRegistry& metrics, FaultInjector& faults);
 
   Hypervisor(const Hypervisor&) = delete;
   Hypervisor& operator=(const Hypervisor&) = delete;
@@ -101,7 +99,7 @@ class Hypervisor {
   // lane, not on the loop. Fault injection and pool exhaustion behave
   // exactly like AllocGuestFrame.
   Result<Mfn> StageGuestFrame(DomId dom) {
-    NEPHELE_RETURN_IF_ERROR(PokeFault(f_frame_alloc_));
+    NEPHELE_RETURN_IF_ERROR(f_frame_alloc_->Poke());
     return frames_.Alloc(dom);
   }
 
@@ -199,10 +197,6 @@ class Hypervisor {
     domain_destroy_hook_ = std::move(hook);
   }
 
-  // Registry this hypervisor records into (its own fallback unless one was
-  // injected).
-  MetricsRegistry& metrics() { return *metrics_; }
-
  private:
   Result<Mfn> AllocFrameFor(DomId dom);
   Status ResolveCowForWrite(Domain& d, Gfn gfn);
@@ -225,8 +219,6 @@ class Hypervisor {
   HypervisorConfig config_;
   FrameTable frames_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
   Counter& m_hypercalls_;
   Counter& m_cow_faults_;
   Counter& m_cow_pages_copied_;
@@ -236,11 +228,10 @@ class Hypervisor {
   Counter& m_grant_unmaps_;
   Counter& m_domains_created_;
   Counter& m_domains_destroyed_;
-  // Null when no injector was wired; Poke'd through the null-safe helper.
-  FaultPoint* f_frame_alloc_ = nullptr;
-  FaultPoint* f_cow_resolve_ = nullptr;
-  FaultPoint* f_grant_access_ = nullptr;
-  FaultPoint* f_evtchn_alloc_ = nullptr;
+  FaultPoint* f_frame_alloc_;
+  FaultPoint* f_cow_resolve_;
+  FaultPoint* f_grant_access_;
+  FaultPoint* f_evtchn_alloc_;
   CowFaultHook cow_fault_hook_;
   LazyTouchHook lazy_touch_hook_;
   DomainDestroyHook domain_destroy_hook_;

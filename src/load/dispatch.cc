@@ -5,6 +5,16 @@
 
 namespace nephele {
 
+namespace {
+
+// Pending duplicates the dispatcher queues; overflow rejects.
+constexpr std::size_t kMaxPending = 4096;
+// Recent win latencies backing the req/latency_p99_ns gauge (the series the
+// req_tail alarm watches).
+constexpr std::size_t kTailWindow = 256;
+
+}  // namespace
+
 RequestCloneDispatcher::RequestCloneDispatcher(Host& host, CloneScheduler& sched)
     : loop_(host.loop()),
       sched_(sched),
@@ -67,7 +77,7 @@ void RequestCloneDispatcher::StartDuplicate(std::uint64_t id, unsigned idx) {
       idle_.pop_front();
       busy_[dom] = {id, idx};
       ActivateOn(id, idx, dom);
-    } else if (pending_.size() < config_.max_pending) {
+    } else if (pending_.size() < kMaxPending) {
       pending_.emplace_back(id, idx);
     } else {
       Resolve(id, idx, Outcome::kReject);
@@ -77,7 +87,7 @@ void RequestCloneDispatcher::StartDuplicate(std::uint64_t id, unsigned idx) {
   if (active_slots_ < config_.max_concurrent) {
     ++active_slots_;
     AcquireFor(id, idx);
-  } else if (pending_.size() < config_.max_pending) {
+  } else if (pending_.size() < kMaxPending) {
     pending_.emplace_back(id, idx);
   } else {
     Resolve(id, idx, Outcome::kReject);
@@ -313,13 +323,12 @@ void RequestCloneDispatcher::HandleRetiredInstance(DomId dom) {
 }
 
 void RequestCloneDispatcher::PushTailLatency(std::int64_t latency_ns) {
-  const std::size_t window = std::max<std::size_t>(1, config_.tail_window);
-  if (tail_.size() < window) {
+  if (tail_.size() < kTailWindow) {
     tail_.push_back(latency_ns);
   } else {
     tail_[tail_pos_] = latency_ns;
   }
-  tail_pos_ = (tail_pos_ + 1) % window;
+  tail_pos_ = (tail_pos_ + 1) % kTailWindow;
   // Nearest-rank p99 over the recent-wins window; this gauge is the series
   // the req_tail alarm evaluates.
   tail_scratch_ = tail_;

@@ -36,10 +36,11 @@ struct LinkConfig {
 
 class FabricLink {
  public:
-  // `metrics` and `faults` may be null (standalone constructions): the link
-  // then skips counting and never injects.
-  FabricLink(EventLoop& loop, std::string name, LinkConfig config,
-             MetricsRegistry* metrics = nullptr, FaultInjector* faults = nullptr);
+  // Counts into the fabric/link_* counters of `metrics` and pokes the
+  // "fabric/link" point of `faults`; ClusterFabric passes its own registry
+  // and injector, so every link shares them.
+  FabricLink(EventLoop& loop, std::string name, LinkConfig config, MetricsRegistry& metrics,
+             FaultInjector& faults);
 
   FabricLink(const FabricLink&) = delete;
   FabricLink& operator=(const FabricLink&) = delete;
@@ -69,10 +70,10 @@ class FabricLink {
   EventLoop& loop_;
   std::string name_;
   LinkConfig config_;
-  Counter* c_bytes_ = nullptr;
-  Counter* c_packets_ = nullptr;
-  Counter* c_down_drops_ = nullptr;
-  FaultPoint* f_link_ = nullptr;
+  Counter& c_bytes_;
+  Counter& c_packets_;
+  Counter& c_down_drops_;
+  FaultPoint* f_link_;
   bool down_ = false;
   std::uint64_t transfers_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -1,14 +1,9 @@
-// SystemServices: the bundle of cross-cutting service handles (metrics,
-// tracing, fault injection) every control-plane component receives at
-// construction. Replaces the old trailing `MetricsRegistry*, TraceRecorder*,
-// FaultInjector*` optional-pointer tails on Toolstack, CloneEngine, Xencloned
-// and CloneScheduler: one struct passed by const-ref, so adding a service
-// never changes a constructor signature again.
-//
-// Every member may be null — components then fall back to a private registry
-// (metrics), skip tracing, or never arm their fault points, exactly as the
-// old null pointer tails behaved. NepheleSystem::services() hands out the
-// fully-populated bundle.
+// SystemServices: the cross-cutting service handles (metrics, tracing, fault
+// injection) the toolstack, clone engine and xencloned receive at
+// construction. Every member is a reference: Host (src/core/host.h) owns
+// the three services and builds every component, so a component always
+// records into its host's registry, traces into its host's recorder and
+// registers its fault points with its host's injector.
 
 #ifndef SRC_OBS_SERVICES_H_
 #define SRC_OBS_SERVICES_H_
@@ -20,9 +15,9 @@ class TraceRecorder;
 class FaultInjector;
 
 struct SystemServices {
-  MetricsRegistry* metrics = nullptr;
-  TraceRecorder* trace = nullptr;
-  FaultInjector* faults = nullptr;
+  MetricsRegistry& metrics;
+  TraceRecorder& trace;
+  FaultInjector& faults;
 };
 
 }  // namespace nephele

@@ -2,11 +2,9 @@
 
 namespace nephele {
 
-TraceSpan::TraceSpan(TraceRecorder* recorder, std::string name) : recorder_(recorder) {
+TraceSpan::TraceSpan(TraceRecorder& recorder, std::string name) : recorder_(&recorder) {
   event_.name = std::move(name);
-  if (recorder_ != nullptr) {
-    event_.start = recorder_->Now();
-  }
+  event_.start = recorder.Now();
 }
 
 void TraceSpan::AddArg(std::string key, std::int64_t value) {

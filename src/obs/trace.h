@@ -28,12 +28,11 @@ struct TraceEvent {
 class TraceRecorder;
 
 // RAII span: records into the recorder when End() runs (or at destruction).
-// Inert when created from a null recorder, so instrumented code needs no
-// null checks.
+// A default-constructed or moved-from span is inert.
 class TraceSpan {
  public:
   TraceSpan() = default;
-  TraceSpan(TraceRecorder* recorder, std::string name);
+  TraceSpan(TraceRecorder& recorder, std::string name);
 
   TraceSpan(TraceSpan&& other) noexcept { *this = std::move(other); }
   TraceSpan& operator=(TraceSpan&& other) noexcept {
@@ -65,7 +64,7 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  TraceSpan BeginSpan(std::string name) { return TraceSpan(this, std::move(name)); }
+  TraceSpan BeginSpan(std::string name) { return TraceSpan(*this, std::move(name)); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
   std::uint64_t dropped_events() const { return dropped_; }

@@ -35,63 +35,62 @@ std::size_t BestEligible(const PlacementQuery& q, Key key, Pred pred) {
   return best;
 }
 
-}  // namespace
-
-PlacementFn MakePlacementFn(PlacementPolicy policy) {
+// The built-in policies (DESIGN.md §16). All of them serve from a host with
+// warm children first; they differ in where cold clones land. kNoHost when
+// no host is eligible.
+std::size_t Place(PlacementPolicy policy, const PlacementQuery& q) {
   switch (policy) {
-    case PlacementPolicy::kPack:
-      return [](const PlacementQuery& q) -> std::size_t {
-        // Warm children trump packing: a parked clone is cheaper than any
-        // cold one, wherever it sits.
-        if (std::size_t h = FirstEligible(q, [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        // Fill the lowest-indexed host until its frame pool dips below the
-        // reserve, then spill to the next.
-        if (std::size_t h = FirstEligible(
-                q, [&](std::size_t i) { return q.free_frames[i] > q.pack_reserve_frames; });
-            h != kNoHost) {
-          return h;
-        }
-        // Every host is under reserve: take the least-pressured one.
-        return BestEligible(
-            q, [&](std::size_t i) { return std::numeric_limits<std::size_t>::max() - q.free_frames[i]; },
-            [](std::size_t) { return true; });
+    case PlacementPolicy::kPack: {
+      // Warm children trump packing: a parked clone is cheaper than any
+      // cold one, wherever it sits.
+      if (std::size_t h = FirstEligible(q, [&](std::size_t i) { return q.warm_children[i] > 0; });
+          h != kNoHost) {
+        return h;
+      }
+      // Fill the lowest-indexed host until its frame pool dips below the
+      // reserve, then spill to the next.
+      if (std::size_t h = FirstEligible(
+              q, [&](std::size_t i) { return q.free_frames[i] > q.pack_reserve_frames; });
+          h != kNoHost) {
+        return h;
+      }
+      // Every host is under reserve: take the least-pressured one.
+      return BestEligible(
+          q, [&](std::size_t i) { return std::numeric_limits<std::size_t>::max() - q.free_frames[i]; },
+          [](std::size_t) { return true; });
+    }
+    case PlacementPolicy::kSpread: {
+      // Among warm hosts, least loaded; else least loaded overall.
+      if (std::size_t h = BestEligible(
+              q, [&](std::size_t i) { return q.active_children[i]; },
+              [&](std::size_t i) { return q.warm_children[i] > 0; });
+          h != kNoHost) {
+        return h;
+      }
+      return BestEligible(
+          q, [&](std::size_t i) { return q.active_children[i]; },
+          [](std::size_t) { return true; });
+    }
+    case PlacementPolicy::kMemoryAware: {
+      const auto room = [&](std::size_t i) {
+        return std::numeric_limits<std::size_t>::max() - q.free_frames[i];
       };
-    case PlacementPolicy::kSpread:
-      return [](const PlacementQuery& q) -> std::size_t {
-        // Among warm hosts, least loaded; else least loaded overall.
-        if (std::size_t h = BestEligible(
-                q, [&](std::size_t i) { return q.active_children[i]; },
-                [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        return BestEligible(
-            q, [&](std::size_t i) { return q.active_children[i]; },
-            [](std::size_t) { return true; });
-      };
-    case PlacementPolicy::kMemoryAware:
-      return [](const PlacementQuery& q) -> std::size_t {
-        const auto room = [&](std::size_t i) {
-          return std::numeric_limits<std::size_t>::max() - q.free_frames[i];
-        };
-        if (std::size_t h = BestEligible(q, room,
-                                         [&](std::size_t i) { return q.warm_children[i] > 0; });
-            h != kNoHost) {
-          return h;
-        }
-        return BestEligible(q, room, [](std::size_t) { return true; });
-      };
+      if (std::size_t h = BestEligible(q, room,
+                                       [&](std::size_t i) { return q.warm_children[i] > 0; });
+          h != kNoHost) {
+        return h;
+      }
+      return BestEligible(q, room, [](std::size_t) { return true; });
+    }
   }
-  return nullptr;  // unreachable: -Werror=switch covers every policy
+  return kNoHost;  // unreachable: -Werror=switch covers every policy
 }
+
+}  // namespace
 
 ClusterScheduler::ClusterScheduler(ClusterFabric& fabric)
     : fabric_(fabric),
       active_(fabric.num_hosts(), 0),
-      placement_(MakePlacementFn(fabric.config().placement)),
       m_acquires_(fabric.metrics().GetCounter("cluster/acquires_total")),
       m_placements_(fabric.metrics().GetCounter("cluster/placements_total")),
       m_warm_placements_(fabric.metrics().GetCounter("cluster/warm_placements")),
@@ -159,7 +158,7 @@ Status ClusterScheduler::Acquire(std::size_t family, unsigned num_children, Gran
   const Family& fam = families_[family];
   for (unsigned child = 0; child < num_children; ++child) {
     const PlacementQuery q = BuildQuery(fam);
-    const std::size_t host = placement_ ? placement_(q) : kNoHost;
+    const std::size_t host = Place(fabric_.config().placement, q);
     if (host >= q.num_hosts || !q.eligible[host]) {
       m_rejected_.Increment();
       fabric_.loop().Post(SimDuration::Nanos(0), [cb] {
@@ -206,8 +205,6 @@ Result<ReleaseOutcome> ClusterScheduler::Release(const ClusterGrant& grant) {
   }
   return outcome;
 }
-
-void ClusterScheduler::SetPlacementFn(PlacementFn fn) { placement_ = std::move(fn); }
 
 DomId ClusterScheduler::replica(std::size_t family, std::size_t host) const {
   if (family >= families_.size() || host >= families_[family].replica_by_host.size()) {

@@ -8,10 +8,10 @@
 //                   the fabric links (Toolstack::SnapshotDomain + MigrateIn)
 //                   and returns a family handle; each host then clones from
 //                   its local replica — no cross-host traffic per clone.
-//   Acquire         places each requested child on a host via the pluggable
-//                   PlacementFn (pack / spread / memory-pressure-aware
-//                   built-ins, warm-children-first in every policy) and
-//                   forwards to that host's CloneScheduler; grants come back
+//   Acquire         places each requested child on a host by the fabric's
+//                   placement policy (pack / spread / memory-pressure-aware,
+//                   warm-children-first in every policy) and forwards
+//                   to that host's CloneScheduler; grants come back
 //                   as ClusterGrant{host, dom}.
 //   Release         returns a grant to its host's warm pool, where a later
 //                   Acquire on any policy can pick it up warm.
@@ -52,19 +52,13 @@ struct PlacementQuery {
   std::vector<std::size_t> free_frames;      // hypervisor pool headroom
   std::vector<std::size_t> active_children;  // children this scheduler placed
 };
-using PlacementFn = std::function<std::size_t(const PlacementQuery&)>;
-
-// The built-in policies (DESIGN.md §16). All of them serve from a host with
-// warm children first; they differ in where cold clones land.
-PlacementFn MakePlacementFn(PlacementPolicy policy);
 
 class ClusterScheduler {
  public:
   using GrantCallback = std::function<void(Result<ClusterGrant>)>;
 
   // Builds one CloneScheduler per fabric host from each host's own config
-  // and services; the placement policy comes from fabric.config().placement
-  // until overridden with SetPlacementFn.
+  // and services; the placement policy is fabric.config().placement.
   explicit ClusterScheduler(ClusterFabric& fabric);
 
   ClusterScheduler(const ClusterScheduler&) = delete;
@@ -84,8 +78,6 @@ class ClusterScheduler {
 
   // Returns a granted child to its host's warm pool.
   Result<ReleaseOutcome> Release(const ClusterGrant& grant);
-
-  void SetPlacementFn(PlacementFn fn);
 
   CloneScheduler& host_scheduler(std::size_t host) { return *host_scheds_.at(host); }
   // The family's clone source on `host`; kDomInvalid when replication to
@@ -107,7 +99,6 @@ class ClusterScheduler {
   // Children placed and not yet released, per host. Bumped at placement
   // time (not grant time) so a burst of Acquires spreads correctly.
   std::vector<std::size_t> active_;
-  PlacementFn placement_;
   Counter& m_acquires_;
   Counter& m_placements_;
   Counter& m_warm_placements_;

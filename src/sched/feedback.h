@@ -3,9 +3,8 @@
 // it reacts to the `warm_pool_thrash` alarm (the rate of sched/evictions —
 // the pool shedding children it is about to need again):
 //
-//   raised   ->  batch window stretched by SchedulerConfig::
-//                thrash_window_multiplier (wider windows coalesce more
-//                requests per batch) and LRU eviction frozen (the pool
+//   raised   ->  batch window stretched by kThrashWindowMultiplier
+//                (wider windows coalesce more requests per batch) and LRU eviction frozen (the pool
 //                keeps its warm children while churn persists)
 //   cleared  ->  window scale back to 1 and eviction unfrozen; the
 //                scheduler's catch-up sweep trims every pool back under
@@ -29,6 +28,9 @@ namespace nephele {
 
 class SchedulerAlarmFeedback : public TsdbObserver {
  public:
+  // Batch-window stretch applied while the alarm is raised.
+  static constexpr double kThrashWindowMultiplier = 4.0;
+
   // Registers itself on `alarms`; reacts to transitions of the alarm named
   // `alarm_name` (default: the stock warm-pool-thrash rule).
   SchedulerAlarmFeedback(AlarmEngine& alarms, CloneScheduler& sched,

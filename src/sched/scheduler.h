@@ -32,9 +32,8 @@
 // batches go through the ordinary CLONEOP path, every other observer (metrics, tracing, the guest runtime) sees
 // scheduled clones exactly like direct ones.
 //
-// Like GuestManager, the scheduler is built ON TOP of a NepheleSystem, not
-// inside it: systems that never schedule pay nothing and export unchanged
-// metrics.
+// Like GuestManager, the scheduler is built ON TOP of a Host, not inside
+// it: hosts that never schedule pay nothing and export unchanged metrics.
 
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
@@ -52,7 +51,6 @@
 #include "src/fault/fault.h"
 #include "src/obs/clone_observer.h"
 #include "src/obs/metrics.h"
-#include "src/obs/services.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_loop.h"
 #include "src/toolstack/toolstack.h"
@@ -83,14 +81,11 @@ class CloneScheduler : public CloneObserver {
   // Toolstack::DestroyDomain + hypervisor destroy.
   using EvictFn = std::function<void(DomId)>;
 
-  CloneScheduler(Hypervisor& hv, CloneEngine& engine, Toolstack& toolstack, EventLoop& loop,
-                 SchedulerConfig config = {}, const SystemServices& services = {});
-  // Convenience wiring: knobs from host.config().sched, services from
-  // host.services(). A NepheleSystem converts to its Host implicitly, so
-  // `CloneScheduler sched(system)` keeps working.
-  explicit CloneScheduler(Host& host)
-      : CloneScheduler(host.hypervisor(), host.clone_engine(), host.toolstack(),
-                       host.loop(), host.config().sched, host.services()) {}
+  // Schedules onto `host`'s clone pipeline with `config`, recording into
+  // the host's registry, tracer and fault injector.
+  CloneScheduler(Host& host, SchedulerConfig config);
+  // Knobs from host.config().sched.
+  explicit CloneScheduler(Host& host) : CloneScheduler(host, host.config().sched) {}
 
   CloneScheduler(const CloneScheduler&) = delete;
   CloneScheduler& operator=(const CloneScheduler&) = delete;
@@ -189,9 +184,7 @@ class CloneScheduler : public CloneObserver {
   EventLoop& loop_;
   SchedulerConfig config_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
 
   Counter& m_requests_;
   Counter& m_warm_hits_;
@@ -217,9 +210,9 @@ class CloneScheduler : public CloneObserver {
   Gauge& g_pool_size_;
   Gauge& g_eviction_frozen_;
 
-  FaultPoint* f_admit_ = nullptr;
-  FaultPoint* f_dispatch_ = nullptr;
-  FaultPoint* f_park_ = nullptr;
+  FaultPoint* f_admit_;
+  FaultPoint* f_dispatch_;
+  FaultPoint* f_park_;
 
   CloneExecutor executor_;
   EvictFn evict_;

@@ -52,11 +52,10 @@ struct MigrationStream {
 
 class Toolstack {
  public:
-  // Every service in `services` may be null: the toolstack then records into
-  // a private registry, skips tracing (standalone constructions keep
-  // working), and never arms the boot fault point.
+  // Records into services.metrics, traces boots into services.trace and
+  // registers the boot fault point with services.faults.
   Toolstack(Hypervisor& hv, XenstoreDaemon& xs, DeviceManager& devices, EventLoop& loop,
-            const CostModel& costs, const SystemServices& services = {});
+            const CostModel& costs, const SystemServices& services);
 
   // Where new vifs are attached. Defaults to an internal Bridge; the Fig. 4
   // and Fig. 7 setups install a Bond instead.
@@ -177,15 +176,13 @@ class Toolstack {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
-  TraceRecorder* trace_;
+  TraceRecorder& trace_;
   Counter& m_domains_booted_;
   Counter& m_domains_restored_;
   Counter& m_domains_destroyed_;
   Histogram& m_boot_ns_;
   Histogram& m_restore_ns_;
-  FaultPoint* f_create_domain_ = nullptr;
+  FaultPoint* f_create_domain_;
 
   Bridge builtin_bridge_;
   HostSwitch* default_switch_;

@@ -42,48 +42,44 @@ Status ValidateXsValue(const std::string& value) {
 }  // namespace
 
 XenstoreDaemon::XenstoreDaemon(EventLoop& loop, const CostModel& costs,
-                               MetricsRegistry* metrics, FaultInjector* faults)
+                               MetricsRegistry& metrics, FaultInjector& faults)
     : loop_(loop),
       costs_(costs),
-      own_metrics_(metrics == nullptr ? std::make_unique<MetricsRegistry>() : nullptr),
-      metrics_(metrics != nullptr ? metrics : own_metrics_.get()),
-      m_requests_(metrics_->GetCounter("xenstore/requests/total")),
-      m_req_write_(metrics_->GetCounter("xenstore/requests/write")),
-      m_req_read_(metrics_->GetCounter("xenstore/requests/read")),
-      m_req_mkdir_(metrics_->GetCounter("xenstore/requests/mkdir")),
-      m_req_rm_(metrics_->GetCounter("xenstore/requests/rm")),
-      m_req_directory_(metrics_->GetCounter("xenstore/requests/directory")),
-      m_req_txn_start_(metrics_->GetCounter("xenstore/requests/transaction_start")),
-      m_req_txn_end_(metrics_->GetCounter("xenstore/requests/transaction_end")),
-      m_req_watch_(metrics_->GetCounter("xenstore/requests/watch")),
-      m_req_unwatch_(metrics_->GetCounter("xenstore/requests/unwatch")),
-      m_req_introduce_(metrics_->GetCounter("xenstore/requests/introduce")),
-      m_req_release_(metrics_->GetCounter("xenstore/requests/release")),
-      m_req_xs_clone_(metrics_->GetCounter("xenstore/requests/xs_clone")),
-      m_watches_fired_(metrics_->GetCounter("xenstore/watches/fired")),
-      m_log_rotations_(metrics_->GetCounter("xenstore/log/rotations")),
-      m_txn_conflicts_(metrics_->GetCounter("xenstore/txn/conflicts")) {
-  if (faults != nullptr) {
-    f_request_ = faults->GetPoint("xenstore/request");
-    f_txn_commit_ = faults->GetPoint("xenstore/txn_commit");
-    f_xs_clone_ = faults->GetPoint("xenstore/xs_clone");
-  }
-  metrics_->GetGauge("xenstore/entries").SetProvider([this] {
+      m_requests_(metrics.GetCounter("xenstore/requests/total")),
+      m_req_write_(metrics.GetCounter("xenstore/requests/write")),
+      m_req_read_(metrics.GetCounter("xenstore/requests/read")),
+      m_req_mkdir_(metrics.GetCounter("xenstore/requests/mkdir")),
+      m_req_rm_(metrics.GetCounter("xenstore/requests/rm")),
+      m_req_directory_(metrics.GetCounter("xenstore/requests/directory")),
+      m_req_txn_start_(metrics.GetCounter("xenstore/requests/transaction_start")),
+      m_req_txn_end_(metrics.GetCounter("xenstore/requests/transaction_end")),
+      m_req_watch_(metrics.GetCounter("xenstore/requests/watch")),
+      m_req_unwatch_(metrics.GetCounter("xenstore/requests/unwatch")),
+      m_req_introduce_(metrics.GetCounter("xenstore/requests/introduce")),
+      m_req_release_(metrics.GetCounter("xenstore/requests/release")),
+      m_req_xs_clone_(metrics.GetCounter("xenstore/requests/xs_clone")),
+      m_watches_fired_(metrics.GetCounter("xenstore/watches/fired")),
+      m_log_rotations_(metrics.GetCounter("xenstore/log/rotations")),
+      m_txn_conflicts_(metrics.GetCounter("xenstore/txn/conflicts")),
+      f_request_(faults.GetPoint("xenstore/request")),
+      f_txn_commit_(faults.GetPoint("xenstore/txn_commit")),
+      f_xs_clone_(faults.GetPoint("xenstore/xs_clone")) {
+  metrics.GetGauge("xenstore/entries").SetProvider([this] {
     return static_cast<std::int64_t>(stats_.entries);
   });
-  metrics_->GetGauge("xenstore/approx_bytes").SetProvider([this] {
+  metrics.GetGauge("xenstore/approx_bytes").SetProvider([this] {
     return static_cast<std::int64_t>(approx_bytes_);
   });
-  metrics_->GetGauge("xenstore/watches/active").SetProvider([this] {
+  metrics.GetGauge("xenstore/watches/active").SetProvider([this] {
     return static_cast<std::int64_t>(watches_.size());
   });
-  metrics_->GetGauge("xenstore/transactions/active").SetProvider([this] {
+  metrics.GetGauge("xenstore/transactions/active").SetProvider([this] {
     return static_cast<std::int64_t>(transactions_.size());
   });
 }
 
 Status XenstoreDaemon::ChargeRequest(Counter& op_counter) {
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_request_));
+  NEPHELE_RETURN_IF_ERROR(f_request_->Poke());
   ++stats_.requests;
   m_requests_.Increment();
   op_counter.Increment();
@@ -296,7 +292,7 @@ Status XenstoreDaemon::TransactionEnd(XsTransactionId txn, bool commit) {
   }
   // An injected commit failure behaves exactly like a lost conflict race:
   // the transaction is gone and the caller must restart it.
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_txn_commit_));
+  NEPHELE_RETURN_IF_ERROR(f_txn_commit_->Poke());
   // Conflict detection: any committed write since transaction start that
   // touches one of this transaction's paths aborts it (EAGAIN).
   auto touches = [&](const std::string& path) {
@@ -426,7 +422,7 @@ void XenstoreDaemon::CloneSubtree(const Node& src, const std::string& dst_path, 
 Status XenstoreDaemon::XsClone(DomId parent_domid, DomId child_domid, XsCloneOp op,
                                const std::string& parent_path, const std::string& child_path) {
   NEPHELE_RETURN_IF_ERROR(ChargeRequest(m_req_xs_clone_));
-  NEPHELE_RETURN_IF_ERROR(PokeFault(f_xs_clone_));
+  NEPHELE_RETURN_IF_ERROR(f_xs_clone_->Poke());
   ++stats_.xs_clone_requests;
   const Node* src = Lookup(parent_path);
   if (src == nullptr) {

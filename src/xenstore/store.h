@@ -53,11 +53,9 @@ struct XenstoreStats {
 
 class XenstoreDaemon {
  public:
-  // `metrics` may be null: the daemon then records into a private registry
-  // (standalone constructions in tests keep working). `faults` may be null
-  // too — fault points are then never armed.
-  XenstoreDaemon(EventLoop& loop, const CostModel& costs, MetricsRegistry* metrics = nullptr,
-                 FaultInjector* faults = nullptr);
+  // Records into `metrics` and registers its fault points with `faults`.
+  XenstoreDaemon(EventLoop& loop, const CostModel& costs, MetricsRegistry& metrics,
+                 FaultInjector& faults);
 
   XenstoreDaemon(const XenstoreDaemon&) = delete;
   XenstoreDaemon& operator=(const XenstoreDaemon&) = delete;
@@ -170,8 +168,6 @@ class XenstoreDaemon {
   EventLoop& loop_;
   const CostModel& costs_;
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;  // set when none injected
-  MetricsRegistry* metrics_;
   Counter& m_requests_;
   Counter& m_req_write_;
   Counter& m_req_read_;
@@ -188,9 +184,9 @@ class XenstoreDaemon {
   Counter& m_watches_fired_;
   Counter& m_log_rotations_;
   Counter& m_txn_conflicts_;
-  FaultPoint* f_request_ = nullptr;
-  FaultPoint* f_txn_commit_ = nullptr;
-  FaultPoint* f_xs_clone_ = nullptr;
+  FaultPoint* f_request_;
+  FaultPoint* f_txn_commit_;
+  FaultPoint* f_xs_clone_;
 
   Node root_;
   std::vector<WatchEntry> watches_;

@@ -88,6 +88,30 @@ TEST(BenchJsonTest, HandicapWorsensOnlyWallMetrics) {
       << "sim metrics must never be handicapped";
 }
 
+// Unset or empty means no handicap; anything but a whole positive number is
+// refused rather than silently running unhandicapped (or reading `4x` as 4).
+TEST(BenchJsonTest, HandicapEnvParsesPositiveNumbersAndRejectsTheRest) {
+  unsetenv("NEPHELE_BENCH_HANDICAP");
+  EXPECT_EQ(BenchJsonWriter::HandicapFromEnv(), 1.0);
+  ASSERT_EQ(setenv("NEPHELE_BENCH_HANDICAP", "", 1), 0);
+  EXPECT_EQ(BenchJsonWriter::HandicapFromEnv(), 1.0);
+  ASSERT_EQ(setenv("NEPHELE_BENCH_HANDICAP", "4.0", 1), 0);
+  EXPECT_EQ(BenchJsonWriter::HandicapFromEnv(), 4.0);
+  ASSERT_EQ(setenv("NEPHELE_BENCH_HANDICAP", "0.5", 1), 0);
+  EXPECT_EQ(BenchJsonWriter::HandicapFromEnv(), 0.5);
+  for (const char* bad : {"abc", "-2", "0", "4x", " 4", "+4", "nan", "inf", "1e999"}) {
+    SCOPED_TRACE(std::string("handicap '") + bad + "'");
+    ASSERT_EQ(setenv("NEPHELE_BENCH_HANDICAP", bad, 1), 0);
+    std::string named;  // `bad` as a death-test regex: '+' matched literally
+    for (const char c : std::string_view(bad)) {
+      named += c == '+' ? std::string("[+]") : std::string(1, c);
+    }
+    EXPECT_EXIT(BenchJsonWriter::HandicapFromEnv(), ::testing::ExitedWithCode(2),
+                "NEPHELE_BENCH_HANDICAP wants a positive number, got '" + named + "'");
+  }
+  unsetenv("NEPHELE_BENCH_HANDICAP");
+}
+
 TEST(BenchGateTest, IdenticalRunPasses) {
   std::string baseline = BaselineOf({WallDoc("micro", 10.0), SimDoc("fig", 5.0)});
   GateReport report = Gate(baseline, {WallDoc("micro", 10.0), SimDoc("fig", 5.0)});

@@ -3,8 +3,8 @@
 // errors and clean rollback under link faults/partitions (frame conservation
 // asserted on both hosts via src/hypervisor/invariants.h), cross-host
 // Acquire through each placement policy, cross-host warm pools, the
-// NepheleSystem facade, and byte-determinism of the merged cluster exports
-// across reruns.
+// NepheleSystem / one-host-fabric equivalence, and byte-determinism of the
+// merged cluster exports across reruns.
 
 #include <memory>
 #include <string>
@@ -54,17 +54,30 @@ void ExpectClean(ClusterFabric& fabric) {
 // Facade
 // ---------------------------------------------------------------------------
 
-TEST(ClusterFacadeTest, NepheleSystemIsASingleHostFabric) {
-  NepheleSystem sys;
-  EXPECT_EQ(sys.fabric().num_hosts(), 1u);
-  EXPECT_EQ(&sys.host(), &sys.fabric().host(0));
-  EXPECT_EQ(&sys.metrics(), &sys.host().metrics());
-  EXPECT_EQ(&sys.loop(), &sys.fabric().loop());
-  EXPECT_EQ(sys.host().metrics_prefix(), "host0/");
+// A NepheleSystem is the same Host wiring as host 0 of a one-host fabric,
+// only on a loop of its own: one boot+clone scenario leaves byte-identical
+// metric exports, the same fault-point surface and the same virtual clock.
+TEST(ClusterFacadeTest, NepheleSystemMatchesOneHostFabricByteForByte) {
+  auto boot_and_clone = [](Host& host) {
+    DomId parent = Boot(host, GuestConfig("facade"));
+    const Domain* pd = host.hypervisor().FindDomain(parent);
+    ASSERT_NE(pd, nullptr);
+    auto children =
+        host.clone_engine().Clone({kDom0, parent, pd->p2m[pd->start_info_gfn].mfn, 2});
+    ASSERT_TRUE(children.ok()) << children.status().ToString();
+    host.Settle();
+  };
+  const ClusterConfig cfg = SmallCluster(1);
+  NepheleSystem sys(cfg.host);
+  boot_and_clone(sys);
+  ClusterFabric fabric(cfg);
+  boot_and_clone(fabric.host(0));
 
-  // The facade still boots guests exactly as before.
-  DomId dom = Boot(sys, GuestConfig("facade"));
-  EXPECT_NE(sys.hypervisor().FindDomain(dom), nullptr);
+  EXPECT_EQ(sys.metrics().ExportJson(), fabric.host(0).metrics().ExportJson());
+  EXPECT_EQ(sys.fault_injector().PointNames(), fabric.host(0).fault_injector().PointNames());
+  EXPECT_GT(sys.Now().ns(), 0);
+  EXPECT_EQ(sys.Now().ns(), fabric.host(0).Now().ns());
+  EXPECT_EQ(sys.host().metrics_prefix(), "host0/");
 }
 
 TEST(ClusterFacadeTest, MergedExportOfOneUnprefixedPartEqualsPlainExport) {

@@ -6,7 +6,9 @@
 #include "src/devices/netif.h"
 #include "src/devices/p9.h"
 #include "src/devices/ring.h"
+#include "src/fault/fault.h"
 #include "src/net/switch.h"
+#include "src/obs/metrics.h"
 #include "src/xenstore/store.h"
 
 namespace nephele {
@@ -52,9 +54,9 @@ TEST(Xenbus, NamesAreStable) {
 class DeviceFixture : public ::testing::Test {
  protected:
   DeviceFixture()
-      : hv_(loop_, costs_, HypervisorConfig{.pool_frames = 16384}),
-        xs_(loop_, costs_),
-        devices_(hv_, xs_, loop_, costs_) {}
+      : hv_(loop_, costs_, HypervisorConfig{.pool_frames = 16384}, metrics_, faults_),
+        xs_(loop_, costs_, metrics_, faults_),
+        devices_(hv_, xs_, loop_, costs_, faults_) {}
 
   DomId NewDomain() {
     auto dom = hv_.CreateDomain("d", 1);
@@ -64,6 +66,8 @@ class DeviceFixture : public ::testing::Test {
 
   CostModel costs_;
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   Hypervisor hv_;
   XenstoreDaemon xs_;
   DeviceManager devices_;

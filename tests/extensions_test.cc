@@ -5,8 +5,10 @@
 
 #include "src/apps/udp_ready_app.h"
 #include "src/core/smp.h"
+#include "src/fault/fault.h"
 #include "src/guest/guest_manager.h"
 #include "src/net/switch.h"
+#include "src/obs/metrics.h"
 #include "src/xenstore/store.h"
 
 namespace nephele {
@@ -16,8 +18,10 @@ namespace {
 
 class XsTxnTest : public ::testing::Test {
  protected:
-  XsTxnTest() : xs_(loop_, DefaultCostModel()) {}
+  XsTxnTest() : xs_(loop_, DefaultCostModel(), metrics_, faults_) {}
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   XenstoreDaemon xs_;
 };
 

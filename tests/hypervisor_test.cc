@@ -2,14 +2,16 @@
 
 #include <vector>
 
+#include "src/fault/fault.h"
 #include "src/hypervisor/hypervisor.h"
+#include "src/obs/metrics.h"
 
 namespace nephele {
 namespace {
 
 class HypervisorTest : public ::testing::Test {
  protected:
-  HypervisorTest() : hv_(loop_, DefaultCostModel(), SmallConfig()) {}
+  HypervisorTest() : hv_(loop_, DefaultCostModel(), SmallConfig(), metrics_, faults_) {}
 
   static HypervisorConfig SmallConfig() {
     HypervisorConfig cfg;
@@ -18,6 +20,8 @@ class HypervisorTest : public ::testing::Test {
   }
 
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   Hypervisor hv_;
 };
 
@@ -283,7 +287,7 @@ class UseSizedTablesTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kCap = 8;
 
-  UseSizedTablesTest() : hv_(loop_, DefaultCostModel(), TinyTablesConfig()) {}
+  UseSizedTablesTest() : hv_(loop_, DefaultCostModel(), TinyTablesConfig(), metrics_, faults_) {}
 
   static HypervisorConfig TinyTablesConfig() {
     HypervisorConfig cfg;
@@ -301,6 +305,8 @@ class UseSizedTablesTest : public ::testing::Test {
   }
 
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   Hypervisor hv_;
 };
 

@@ -40,12 +40,10 @@ class SchedTest : public ::testing::Test {
     return *dom;
   }
 
-  // A scheduler over system_ with explicit knobs (services — metrics, trace,
-  // faults — still come from the system so counters land in its registry).
+  // A scheduler over system_ with explicit knobs (metrics, trace and
+  // faults still come from the system so counters land in its registry).
   std::unique_ptr<CloneScheduler> MakeScheduler(SchedulerConfig cfg) {
-    return std::make_unique<CloneScheduler>(system_.hypervisor(), system_.clone_engine(),
-                                            system_.toolstack(), system_.loop(), cfg,
-                                            system_.services());
+    return std::make_unique<CloneScheduler>(system_, cfg);
   }
 
   CloneRequest Req(DomId parent, unsigned n = 1) { return {kDom0, parent, kInvalidMfn, n}; }
@@ -308,7 +306,7 @@ TEST_F(SchedTest, DrainAllFailsQueuedAndDestroysParked) {
 // TSDB samples the eviction rate, the warm_pool_thrash alarm raises after
 // its hysteresis streak, and SchedulerAlarmFeedback measurably changes the
 // scheduler — eviction freezes (the pool grows past capacity) and the batch
-// window stretches by thrash_window_multiplier. When the eviction rate goes
+// window stretches by kThrashWindowMultiplier. When the eviction rate goes
 // quiet the alarm clears, the feedback disengages, and the unfreeze catch-up
 // sweep trims the pool back to capacity.
 TEST_F(SchedTest, ThrashAlarmFreezesEvictionAndWidensWindow) {
@@ -348,9 +346,9 @@ TEST_F(SchedTest, ThrashAlarmFreezesEvictionAndWidensWindow) {
   }
   ASSERT_TRUE(sched->eviction_frozen()) << "alarm never engaged after " << rounds
                                         << " thrash rounds";
-  EXPECT_EQ(sched->batch_window_scale(), sched->config().thrash_window_multiplier);
+  EXPECT_EQ(sched->batch_window_scale(), SchedulerAlarmFeedback::kThrashWindowMultiplier);
   EXPECT_EQ(sched->effective_batch_window().ns(),
-            (base_window * sched->config().thrash_window_multiplier).ns());
+            (base_window * SchedulerAlarmFeedback::kThrashWindowMultiplier).ns());
   EXPECT_EQ(system_.metrics().GaugeValue("sched/eviction_frozen"), 1);
   EXPECT_EQ(CounterValue("sched/feedback_transitions"), 1u);
   EXPECT_EQ(CounterValue("alarm/warm_pool_thrash/raised_total"), 1u);

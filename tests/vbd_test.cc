@@ -6,7 +6,9 @@
 
 #include "src/apps/udp_ready_app.h"
 #include "src/devices/vbd.h"
+#include "src/fault/fault.h"
 #include "src/guest/guest_manager.h"
+#include "src/obs/metrics.h"
 #include "src/xenstore/path.h"
 
 namespace nephele {
@@ -56,11 +58,13 @@ TEST(BlockStore, CowWriteSemantics) {
 
 class VbdBackendTest : public ::testing::Test {
  protected:
-  VbdBackendTest() : backend_(loop_, DefaultCostModel()) {}
+  VbdBackendTest() : backend_(loop_, DefaultCostModel(), faults_) {}
 
   DeviceId Disk(DomId dom) { return DeviceId{dom, DeviceType::kVbd, 0}; }
 
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   VbdBackend backend_;
 };
 

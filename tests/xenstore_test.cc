@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "src/fault/fault.h"
+#include "src/obs/metrics.h"
 #include "src/xenstore/path.h"
 #include "src/xenstore/store.h"
 
@@ -30,8 +32,10 @@ TEST(XsPath, CanonicalPaths) {
 
 class XenstoreTest : public ::testing::Test {
  protected:
-  XenstoreTest() : xs_(loop_, DefaultCostModel()) {}
+  XenstoreTest() : xs_(loop_, DefaultCostModel(), metrics_, faults_) {}
   EventLoop loop_;
+  MetricsRegistry metrics_;
+  FaultInjector faults_{metrics_};
   XenstoreDaemon xs_;
 };
 
@@ -153,7 +157,7 @@ TEST_F(XenstoreTest, AccessLogRotationChargesSpike) {
   costs.xs_log_rotate_every = 10;
   costs.xs_log_rotate = SimDuration::Millis(100);
   EventLoop loop;
-  XenstoreDaemon xs(loop, costs);
+  XenstoreDaemon xs(loop, costs, metrics_, faults_);
   for (int i = 0; i < 9; ++i) {
     ASSERT_TRUE(xs.Write("/k" + std::to_string(i), "v").ok());
   }
@@ -168,7 +172,7 @@ TEST_F(XenstoreTest, DisablingAccessLogPreventsRotations) {
   CostModel costs;
   costs.xs_log_rotate_every = 5;
   EventLoop loop;
-  XenstoreDaemon xs(loop, costs);
+  XenstoreDaemon xs(loop, costs, metrics_, faults_);
   xs.SetAccessLogEnabled(false);
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(xs.Write("/k" + std::to_string(i), "v").ok());
@@ -282,7 +286,9 @@ class XsCloneEquivalence : public ::testing::TestWithParam<XsCloneOp> {};
 
 TEST_P(XsCloneEquivalence, MatchesRewrittenDeepCopy) {
   EventLoop loop;
-  XenstoreDaemon xs(loop, DefaultCostModel());
+  MetricsRegistry metrics;
+  FaultInjector faults(metrics);
+  XenstoreDaemon xs(loop, DefaultCostModel(), metrics, faults);
   const DomId p = 11, c = 12;
   const std::string dp = XsDomainPath(p);
   ASSERT_TRUE(xs.Write(dp + "/domid", std::to_string(p)).ok());
