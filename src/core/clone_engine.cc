@@ -85,7 +85,7 @@ std::size_t CloneEngine::PendingStreamPages(DomId child) const {
 }
 
 void CloneEngine::ComputeHotSet(const Domain& parent, const CloneRequest& req,
-                                BatchPlan& batch) {
+                                Batch& batch) {
   batch.lazy = true;
   for (Gfn gfn : req.hot_pages) {
     if (gfn < parent.p2m.size()) {
@@ -120,7 +120,7 @@ void CloneEngine::MaterializePage(Domain& parent, Domain& child, Gfn gfn) {
   FrameTable& frames = hv_.frames();
   const CostModel& costs = hv_.costs();
   P2mEntry& pe = parent.p2m[gfn];
-  // The plan flipped the parent pte read-only when it deferred the page, so
+  // Stage 1 flipped the parent pte read-only when it deferred the page, so
   // the frame still holds the clone-time snapshot. Sharing it now is exactly
   // the share stage 1 skipped, at the same per-page cost.
   if (frames.IsShared(pe.mfn)) {
@@ -362,17 +362,23 @@ void CloneEngine::CloneVcpus(const Domain& parent, Domain& child) {
   }
 }
 
-Status CloneEngine::PlanChildCommon(Domain& parent, ChildPlan& cp) {
-  cp.lane += hv_.costs().clone_stage1_fixed;
+Status CloneEngine::BuildChild(Domain& parent, Batch& batch, ChildBuild& cb) {
+  const CostModel& costs = hv_.costs();
+  FrameTable& frames = hv_.frames();
+  cb.lane += costs.clone_stage1_fixed;
   // struct domain initialisation by copy+edit of the parent's (Sec. 5).
   NEPHELE_RETURN_IF_ERROR(f_stage1_create_->Poke());
   NEPHELE_ASSIGN_OR_RETURN(DomId child_id,
                            hv_.CreateDomain(/*name=*/"", static_cast<int>(parent.vcpus.size())));
   // From here on the child exists: record it before anything can fail so the
   // batch rollback always sees it.
-  cp.id = child_id;
-  cp.child = hv_.FindDomain(child_id);
-  Domain& child = *cp.child;
+  cb.id = child_id;
+  cb.child = hv_.FindDomain(child_id);
+  Domain& child = *cb.child;
+  const bool first = batch.first_child == kDomInvalid;
+  if (first) {
+    batch.first_child = child_id;
+  }
 
   child.parent = parent.id;
   child.family_root = parent.family_root;
@@ -387,310 +393,110 @@ Status CloneEngine::PlanChildCommon(Domain& parent, ChildPlan& cp) {
   ++parent.clones_created;
 
   CloneVcpus(parent, child);
-  cp.lane += hv_.costs().vcpu_clone * static_cast<double>(child.vcpus.size());
-  return Status::Ok();
-}
+  cb.lane += costs.vcpu_clone * static_cast<double>(child.vcpus.size());
 
-Status CloneEngine::PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp) {
-  NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
-  batch.first_child = cp.id;
+  // Guest memory, one pass in gfn order. Every page lands in the child's
+  // p2m as soon as it is built, so the p2m always describes exactly what the
+  // child holds and rollback can undo a half-built child from it.
   NEPHELE_RETURN_IF_ERROR(f_stage1_memory_->Poke());
-  const CostModel& costs = hv_.costs();
-  FrameTable& frames = hv_.frames();
-
-  // The only full per-page scan of the batch: classify every parent page,
-  // poking faults and bumping counters exactly like the serial engine did,
-  // and record the batch-wide facts later children and the rollback reuse.
+  child.p2m.reserve(parent.p2m.size());
   for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
     P2mEntry& pe = parent.p2m[gfn];
     if (IsPrivateRole(pe.role)) {
       // Private page: duplicated (or rewritten) for the child (Sec. 4.1).
-      NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-      cp.private_mfns.push_back(mfn);
-      batch.private_gfns.push_back(gfn);
-      SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                                  ? costs.page_copy
-                                                  : costs.private_page_rewrite);
-      cp.lane += cost;
-      batch.private_cost += cost;
-      ++stats_.pages_private_copied;
-      m_pages_private_copied_.Increment();
-      continue;
-    }
-    NEPHELE_RETURN_IF_ERROR(f_stage1_share_->Poke());
-    // first_shared also covers a frame this child's own plan met earlier at
-    // another gfn, which its staging has not shared yet.
-    const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsShared(pe.mfn);
-    if (pe.role == PageRole::kIdcShared) {
-      // IDC regions stay writable on both sides: true sharing, no COW
-      // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared page).
-      cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
-      if (!already_shared) {
-        batch.first_shared.insert(pe.mfn);
-      }
-      ++stats_.pages_idc_shared;
-      m_pages_idc_shared_.Increment();
-      ++batch.idc_pages;
-      continue;
-    }
-    // Regular memory: share copy-on-write. Writable pages are marked
-    // read-only and will be COWed on the next write by either side.
-    if (already_shared) {
-      cp.lane += costs.page_share_again;
-      ++stats_.pages_shared_again;
-      m_pages_shared_again_.Increment();
-    } else {
-      cp.lane += costs.page_share_first;
-      batch.first_shared.insert(pe.mfn);
-      ++stats_.pages_shared_first;
-      m_pages_shared_first_.Increment();
-    }
-    m_pages_shared_.Increment();
-    ++batch.regular_pages;
-    if (pe.writable) {
-      batch.writable_flips.push_back(gfn);
-      pe.writable = false;
-    }
-  }
-  return PlanTables(parent, cp);
-}
-
-void CloneEngine::AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDuration& lane) {
-  const CostModel& costs = hv_.costs();
-  const FrameTable& frames = hv_.frames();
-  std::size_t priv = 0;
-  std::size_t idc = 0;
-  std::size_t regular = 0;
-  for (Gfn gfn = 0; gfn < end_gfn; ++gfn) {
-    const P2mEntry& pe = parent.p2m[gfn];
-    if (IsPrivateRole(pe.role)) {
-      ++priv;
-      lane += costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                       ? costs.page_copy
-                                       : costs.private_page_rewrite);
-    } else {
-      lane += costs.page_share_again;
-      if (pe.role == PageRole::kIdcShared) {
-        ++idc;
-      } else {
-        ++regular;
-      }
-    }
-  }
-  stats_.pages_private_copied += priv;
-  m_pages_private_copied_.Increment(priv);
-  stats_.pages_idc_shared += idc;
-  m_pages_idc_shared_.Increment(idc);
-  stats_.pages_shared_again += regular;
-  m_pages_shared_again_.Increment(regular);
-  m_pages_shared_.Increment(regular);
-}
-
-Status CloneEngine::PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp) {
-  NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
-  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_->Poke());
-  const CostModel& costs = hv_.costs();
-
-  // The first child shared every non-private page, so every share of this
-  // child is a re-share: no per-page decisions remain and the scan reduces
-  // to the private gfns plus bulk fault pokes for the share runs between
-  // them. The failure paths recompute the exact per-page prefix the fast
-  // path skipped, so an armed fault point observes identical hit counts and
-  // counter state as with the serial per-page walk.
-  cp.private_mfns.reserve(batch.private_gfns.size());
-  Gfn next = 0;
-  for (Gfn pgfn : batch.private_gfns) {
-    FaultPoint::BulkPoke bulk = f_stage1_share_->PokeMany(pgfn - next);
-    if (!bulk.status.ok()) {
-      AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-      return bulk.status;
-    }
-    auto mfn = hv_.StageGuestFrame(cp.id);
-    if (!mfn.ok()) {
-      AccountPartialScan(parent, pgfn, cp.lane);
-      return mfn.status();
-    }
-    cp.private_mfns.push_back(*mfn);
-    next = pgfn + 1;
-  }
-  FaultPoint::BulkPoke bulk =
-      f_stage1_share_->PokeMany(static_cast<Gfn>(parent.p2m.size()) - next);
-  if (!bulk.status.ok()) {
-    AccountPartialScan(parent, next + static_cast<Gfn>(bulk.performed) - 1, cp.lane);
-    return bulk.status;
-  }
-
-  stats_.pages_private_copied += batch.private_gfns.size();
-  m_pages_private_copied_.Increment(batch.private_gfns.size());
-  stats_.pages_idc_shared += batch.idc_pages;
-  m_pages_idc_shared_.Increment(batch.idc_pages);
-  stats_.pages_shared_again += batch.regular_pages;
-  m_pages_shared_again_.Increment(batch.regular_pages);
-  m_pages_shared_.Increment(batch.regular_pages);
-  cp.lane += batch.private_cost +
-             costs.page_share_again * static_cast<double>(batch.idc_pages + batch.regular_pages);
-  return PlanTables(parent, cp);
-}
-
-Status CloneEngine::PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& cp,
-                                  bool first) {
-  NEPHELE_RETURN_IF_ERROR(PlanChildCommon(parent, cp));
-  if (first) {
-    batch.first_child = cp.id;
-  }
-  NEPHELE_RETURN_IF_ERROR(f_stage1_memory_->Poke());
-  const CostModel& costs = hv_.costs();
-  FrameTable& frames = hv_.frames();
-
-  // Lazy plan: a full per-page walk for every child. Deferral already
-  // removed the bulk of the stage-1 work, so the O(private) fast path of
-  // PlanNextChild buys nothing here, and one uniform walk keeps the fault
-  // ordering identical for every child of the batch.
-  for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
-    P2mEntry& pe = parent.p2m[gfn];
-    if (IsPrivateRole(pe.role)) {
-      NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-      cp.private_mfns.push_back(mfn);
-      SimDuration cost = costs.frame_alloc + (frames.info(pe.mfn).data != nullptr
-                                                  ? costs.page_copy
-                                                  : costs.private_page_rewrite);
-      if (first) {
-        batch.private_gfns.push_back(gfn);
-        batch.private_cost += cost;
-      }
-      cp.lane += cost;
-      ++stats_.pages_private_copied;
-      m_pages_private_copied_.Increment();
-      continue;
-    }
-    if (pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
-      // Deferred: the child's entry will be not-present — no share, no
-      // fault poke, no lane cost. That skipped cost is the entire
-      // time-to-first-request win. The parent pte still turns read-only
-      // NOW, so a parent write demand-pushes the page to the children
-      // before changing it (they must keep seeing the clone-time snapshot).
-      if (first) {
-        batch.deferred_gfns.push_back(gfn);
-      }
-      if (pe.writable) {
-        batch.writable_flips.push_back(gfn);
-        pe.writable = false;
-      }
-      ++stats_.pages_deferred;
-      m_lazy_deferred_pages_.Increment();
-      continue;
-    }
-    NEPHELE_RETURN_IF_ERROR(f_stage1_share_->Poke());
-    // first_shared also covers a frame this child's own plan met earlier at
-    // another gfn, which its staging has not shared yet.
-    const bool already_shared =
-        batch.first_shared.count(pe.mfn) > 0 || frames.IsShared(pe.mfn);
-    if (pe.role == PageRole::kIdcShared) {
-      cp.lane += already_shared ? costs.page_share_again : costs.page_share_first;
-      if (!already_shared) {
-        batch.first_shared.insert(pe.mfn);
-      }
-      ++stats_.pages_idc_shared;
-      m_pages_idc_shared_.Increment();
-      if (first) {
-        ++batch.idc_pages;
-      }
-      continue;
-    }
-    if (already_shared) {
-      cp.lane += costs.page_share_again;
-      ++stats_.pages_shared_again;
-      m_pages_shared_again_.Increment();
-    } else {
-      cp.lane += costs.page_share_first;
-      batch.first_shared.insert(pe.mfn);
-      ++stats_.pages_shared_first;
-      m_pages_shared_first_.Increment();
-    }
-    m_pages_shared_.Increment();
-    if (first) {
-      ++batch.regular_pages;
-    }
-    if (pe.writable) {
-      batch.writable_flips.push_back(gfn);
-      pe.writable = false;
-    }
-  }
-  return PlanTables(parent, cp);
-}
-
-Status CloneEngine::PlanTables(Domain& parent, ChildPlan& cp) {
-  const CostModel& costs = hv_.costs();
-  Domain& child = *cp.child;
-  // Private page tables and p2m map (dominant cost for large guests;
-  // Sec. 4.1). Frames land on the child's page_table_frames/p2m_frames
-  // lists and are returned by DestroyDomain, so a mid-build failure needs
-  // no undo bookkeeping of its own.
-  NEPHELE_RETURN_IF_ERROR(f_stage1_page_tables_->Poke());
-  std::size_t pt_pages = PageTablePagesFor(parent.p2m.size());
-  for (std::size_t i = 0; i < pt_pages; ++i) {
-    NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-    child.page_table_frames.push_back(mfn);
-    cp.lane += costs.frame_alloc + costs.private_page_rewrite;
-  }
-  std::size_t p2m_pages = (parent.p2m.size() * 4 + kPageSize - 1) / kPageSize;
-  if (p2m_pages == 0) {
-    p2m_pages = 1;
-  }
-  for (std::size_t i = 0; i < p2m_pages; ++i) {
-    NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(cp.id));
-    child.p2m_frames.push_back(mfn);
-    cp.lane += costs.frame_alloc;
-  }
-  NEPHELE_RETURN_IF_ERROR(f_stage1_grants_->Poke());
-  cp.lane +=
-      costs.grant_entry_clone * static_cast<double>(parent.grants.active_entries());
-  NEPHELE_RETURN_IF_ERROR(f_stage1_evtchns_->Poke());
-  cp.lane += costs.evtchn_clone * static_cast<double>(parent.evtchns.active_ports());
-  return Status::Ok();
-}
-
-void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, ChildPlan& cp) {
-  Domain& child = *cp.child;
-  FrameTable& frames = hv_.frames();
-
-  // Guest memory: private pages copy into the pre-allocated frames; shared
-  // pages take one more COW sharer each. Parent state is read-only here
-  // (the parent is paused and the plan phase has finished mutating it).
-  child.p2m.reserve(parent.p2m.size());
-  std::size_t pi = 0;
-  for (Gfn gfn = 0; gfn < parent.p2m.size(); ++gfn) {
-    const P2mEntry& pe = parent.p2m[gfn];
-    if (IsPrivateRole(pe.role)) {
-      Mfn mfn = cp.private_mfns[pi++];
-      if (frames.info(pe.mfn).data != nullptr) {
+      NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(child_id));
+      const bool has_data = frames.info(pe.mfn).data != nullptr;
+      if (has_data) {
         frames.CopyPage(pe.mfn, mfn);
       }
       child.p2m.push_back(P2mEntry{mfn, pe.role, /*writable=*/true});
-    } else if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
-      // Deferred (the same predicate the plan used): not-present entry, no
-      // share ref.
+      cb.lane += costs.frame_alloc + (has_data ? costs.page_copy : costs.private_page_rewrite);
+      ++stats_.pages_private_copied;
+      m_pages_private_copied_.Increment();
+      continue;
+    }
+    if (batch.lazy && pe.role == PageRole::kData && batch.hot.count(gfn) == 0) {
+      // Deferred: a not-present entry — no share, no fault poke, no lane
+      // cost. That skipped cost is the entire time-to-first-request win.
+      // The parent pte still turns read-only below, so a parent write
+      // demand-pushes the page to the children before changing it (they
+      // must keep seeing the clone-time snapshot).
       child.p2m.push_back(P2mEntry{kInvalidMfn, pe.role, /*writable=*/false});
       ++child.lazy_deferred_pages;
+      if (first) {
+        batch.deferred_gfns.push_back(gfn);
+      }
+      ++stats_.pages_deferred;
+      m_lazy_deferred_pages_.Increment();
     } else {
-      (void)(frames.IsShared(pe.mfn) ? frames.ShareAgain(pe.mfn) : frames.ShareFirst(pe.mfn));
-      child.p2m.push_back(
-          P2mEntry{pe.mfn, pe.role, /*writable=*/pe.role == PageRole::kIdcShared});
+      NEPHELE_RETURN_IF_ERROR(f_stage1_share_->Poke());
+      const bool again = frames.IsShared(pe.mfn);
+      if (again) {
+        (void)frames.ShareAgain(pe.mfn);
+        cb.lane += costs.page_share_again;
+      } else {
+        (void)frames.ShareFirst(pe.mfn);
+        batch.first_shared.insert(pe.mfn);
+        cb.lane += costs.page_share_first;
+      }
+      if (pe.role == PageRole::kIdcShared) {
+        // IDC regions stay writable on both sides: true sharing, no COW
+        // (Sec. 5.2.2 — ownership still moves to dom_cow like any shared page).
+        child.p2m.push_back(P2mEntry{pe.mfn, pe.role, /*writable=*/true});
+        ++stats_.pages_idc_shared;
+        m_pages_idc_shared_.Increment();
+        continue;
+      }
+      child.p2m.push_back(P2mEntry{pe.mfn, pe.role, /*writable=*/false});
+      if (again) {
+        ++stats_.pages_shared_again;
+        m_pages_shared_again_.Increment();
+      } else {
+        ++stats_.pages_shared_first;
+        m_pages_shared_first_.Increment();
+      }
+      m_pages_shared_.Increment();
+    }
+    // Regular memory is shared copy-on-write: writable parent pages turn
+    // read-only and COW on the next write by either side.
+    if (pe.writable) {
+      batch.writable_flips.push_back(gfn);
+      pe.writable = false;
     }
   }
 
-  child.grants = parent.grants.CloneForChild();
+  // Private page tables and p2m map (dominant cost for large guests;
+  // Sec. 4.1). Frames land on the child's page_table_frames/p2m_frames
+  // lists and are returned by DestroyDomain.
+  NEPHELE_RETURN_IF_ERROR(f_stage1_page_tables_->Poke());
+  const std::size_t pt_pages = PageTablePagesFor(parent.p2m.size());
+  for (std::size_t i = 0; i < pt_pages; ++i) {
+    NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(child_id));
+    child.page_table_frames.push_back(mfn);
+    cb.lane += costs.frame_alloc + costs.private_page_rewrite;
+  }
+  const std::size_t p2m_pages =
+      std::max<std::size_t>(1, (parent.p2m.size() * 4 + kPageSize - 1) / kPageSize);
+  for (std::size_t i = 0; i < p2m_pages; ++i) {
+    NEPHELE_ASSIGN_OR_RETURN(Mfn mfn, hv_.StageGuestFrame(child_id));
+    child.p2m_frames.push_back(mfn);
+    cb.lane += costs.frame_alloc;
+  }
+  NEPHELE_RETURN_IF_ERROR(f_stage1_grants_->Poke());
+  cb.lane +=
+      costs.grant_entry_clone * static_cast<double>(parent.grants.active_entries());
+  NEPHELE_RETURN_IF_ERROR(f_stage1_evtchns_->Poke());
+  cb.lane += costs.evtchn_clone * static_cast<double>(parent.evtchns.active_ports());
 
+  // Both table pokes passed: a failing child never holds cloned tables.
+  child.grants = parent.grants.CloneForChild();
   child.evtchns = parent.evtchns.CloneForChild();
   // IDC fix-up (Sec. 5.2.2): "On creation, a clone is implicitly bound to
   // all the IDC event channels of its parent." The first child's copy of
   // each kDomChild port becomes its end of an interdomain channel to the
-  // parent; later children connect to the first child — exactly the state
-  // the serial engine produced by copying the parent's table after its own
-  // fix-up had bound those ports to the first child. The parent-side half
+  // parent; later children connect to the first child. The parent-side half
   // of the fix-up is applied at commit.
-  const DomId bind_to = cp.id == batch.first_child ? parent.id : batch.first_child;
+  const DomId bind_to = first ? parent.id : batch.first_child;
   for (EvtchnPort p = 1; p < child.evtchns.used_port_limit(); ++p) {
     EvtchnEntry& ce = child.evtchns.mutable_entry(p);
     if (ce.idc && ce.state == EvtchnState::kUnbound && ce.remote_dom == kDomChild) {
@@ -699,46 +505,40 @@ void CloneEngine::StageChild(const Domain& parent, const BatchPlan& batch, Child
       ce.remote_port = p;
     }
   }
+  return Status::Ok();
 }
 
-void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
-                                std::vector<ChildPlan>& plans) {
+void CloneEngine::RollbackBatch(Domain& parent, const Batch& batch,
+                                const std::vector<ChildBuild>& children) {
   FrameTable& frames = hv_.frames();
   // Newest child first, so by the time the first child unwinds it holds the
   // last clone reference on every frame this batch shared — first-shared
   // frames are then back at refcount 2 (parent + first child) and Unshare
   // restores private parent ownership exactly.
-  for (auto it = plans.rbegin(); it != plans.rend(); ++it) {
-    ChildPlan& cp = *it;
-    if (cp.id == kDomInvalid) {
+  for (auto it = children.rbegin(); it != children.rend(); ++it) {
+    const ChildBuild& cb = *it;
+    if (cb.id == kDomInvalid) {
       continue;  // create_domain failed: this child never existed
     }
-    Domain& child = *cp.child;
-    if (cp.staged) {
-      // Fully staged: derive the undo from the child's p2m, newest entry
-      // first (a re-share presupposes the first share that precedes it).
-      for (auto pit = child.p2m.rbegin(); pit != child.p2m.rend(); ++pit) {
-        if (pit->mfn == kInvalidMfn) {
-          continue;  // deferred lazy entry: no frame, no share ref to undo
-        }
-        if (IsPrivateRole(pit->role)) {
-          (void)frames.Release(pit->mfn);
-          continue;
-        }
-        const bool shared_by_this_batch =
-            cp.id == batch.first_child && batch.first_shared.count(pit->mfn) > 0 &&
-            frames.info(pit->mfn).refcount == 2;
-        if (shared_by_this_batch) {
-          (void)frames.Unshare(pit->mfn, parent.id);
-        } else {
-          (void)frames.Release(pit->mfn);
-        }
+    Domain& child = *cb.child;
+    // Newest p2m entry first: a re-share presupposes the first share that
+    // precedes it, and private frames go back to the free list in reverse
+    // allocation order.
+    for (auto pit = child.p2m.rbegin(); pit != child.p2m.rend(); ++pit) {
+      if (pit->mfn == kInvalidMfn) {
+        continue;  // deferred lazy entry: no frame, no share ref to undo
       }
-    } else {
-      // The failing child: it was never staged, so no share refs exist;
-      // only the frames its plan consumed go back.
-      for (auto mit = cp.private_mfns.rbegin(); mit != cp.private_mfns.rend(); ++mit) {
-        (void)frames.Release(*mit);
+      if (IsPrivateRole(pit->role)) {
+        (void)frames.Release(pit->mfn);
+        continue;
+      }
+      const bool shared_by_this_batch = cb.id == batch.first_child &&
+                                        batch.first_shared.count(pit->mfn) > 0 &&
+                                        frames.info(pit->mfn).refcount == 2;
+      if (shared_by_this_batch) {
+        (void)frames.Unshare(pit->mfn, parent.id);
+      } else {
+        (void)frames.Release(pit->mfn);
       }
     }
     // Every guest frame was already returned above; clear the p2m so
@@ -746,12 +546,12 @@ void CloneEngine::RollbackBatch(Domain& parent, BatchPlan& batch,
     // still tracks (a double release would corrupt the free list).
     child.p2m.clear();
     child.lazy_deferred_pages = 0;
-    (void)hv_.DestroyDomain(cp.id);
+    (void)hv_.DestroyDomain(cb.id);
     if (parent.clones_created > 0) {
       --parent.clones_created;
     }
     for (CloneObserver* obs : observers_) {
-      obs->OnCloneAborted(parent.id, cp.id);
+      obs->OnCloneAborted(parent.id, cb.id);
     }
   }
   // Restore the parent ptes this batch flipped read-only.
@@ -804,8 +604,6 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   if (IsStreaming(parent_id)) {
     NEPHELE_RETURN_IF_ERROR(FinishStreaming(parent_id));
   }
-  const bool lazy = req.lazy;
-
   m_batches_.Increment();
   for (CloneObserver* obs : observers_) {
     obs->OnCloneStart(parent_id, num_clones);
@@ -820,44 +618,33 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   (void)hv_.PauseDomain(parent_id);
   parent->blocked_in_clone = true;
 
-  // Plan each child, then stage it before planning the next. Everything
-  // that can fail fails in the plan, so staging always completes.
-  BatchPlan batch;
-  if (lazy) {
+  Batch batch;
+  if (req.lazy) {
     ComputeHotSet(*parent, req, batch);
   }
-  std::vector<ChildPlan> plans;
-  plans.reserve(num_clones);
+  std::vector<ChildBuild> builds;
+  builds.reserve(num_clones);
   Status failure = Status::Ok();
-  for (unsigned i = 0; i < num_clones; ++i) {
-    plans.emplace_back();
-    ChildPlan& cp = plans.back();
-    failure = lazy ? PlanChildLazy(*parent, batch, cp, i == 0)
-                   : (i == 0 ? PlanFirstChild(*parent, batch, cp)
-                             : PlanNextChild(*parent, batch, cp));
-    if (!failure.ok()) {
-      break;
-    }
-    StageChild(*parent, batch, cp);
-    cp.staged = true;
+  for (unsigned i = 0; i < num_clones && failure.ok(); ++i) {
+    failure = BuildChild(*parent, batch, builds.emplace_back());
   }
 
   // The batch costs its slowest child in virtual time: the modelled
   // hypervisor builds the children of one CLONEOP independently of each
   // other on the host's CPUs. A single clone is charged its exact serial
-  // cost; a failed batch charges the work planned up to the failure.
+  // cost; a failed batch charges the work built up to the failure.
   std::vector<SimDuration> lanes;
-  lanes.reserve(plans.size());
-  for (const ChildPlan& cp : plans) {
-    lanes.push_back(cp.lane);
+  lanes.reserve(builds.size());
+  for (const ChildBuild& cb : builds) {
+    lanes.push_back(cb.lane);
   }
   hv_.loop().AdvanceByCriticalPath(lanes);
 
   if (!failure.ok()) {
-    // A failure anywhere unwinds all staged children and resumes the
+    // A failure anywhere unwinds every built child and resumes the
     // parent, so a failed CLONEOP is side-effect free (the hypercall either
     // produces num_clones runnable children or none).
-    RollbackBatch(*parent, batch, plans);
+    RollbackBatch(*parent, batch, builds);
     ++stats_.rollbacks;
     m_rolled_back_.Increment();
     parent->blocked_in_clone = false;
@@ -880,12 +667,12 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   // Publish the children to xencloned and to the caller.
   std::vector<DomId> children;
   children.reserve(num_clones);
-  for (ChildPlan& cp : plans) {
-    children.push_back(cp.id);
-    pending_children_[cp.id] = PendingChild{parent_id, hv_.loop().Now()};
-    ring_.Push(CloneNotification{parent_id, cp.id,
+  for (const ChildBuild& cb : builds) {
+    children.push_back(cb.id);
+    pending_children_[cb.id] = PendingChild{parent_id, hv_.loop().Now()};
+    ring_.Push(CloneNotification{parent_id, cb.id,
                                  parent->p2m[parent->start_info_gfn].mfn,
-                                 cp.child->p2m[parent->start_info_gfn].mfn});
+                                 cb.child->p2m[parent->start_info_gfn].mfn});
     (void)hv_.RaiseVirq(kDom0, Virq::kCloned);
     ++stats_.clones;
     m_clones_.Increment();
@@ -894,13 +681,13 @@ Result<std::vector<DomId>> CloneEngine::Clone(const CloneRequest& req) {
   // background prefetcher starts ticking (unless manual mode). A lazy batch
   // with nothing deferred (tiny guest, everything hot) is already complete.
   if (batch.lazy) {
-    for (const ChildPlan& cp : plans) {
+    for (const ChildBuild& cb : builds) {
       ++stats_.lazy_clones;
       m_lazy_clones_.Increment();
       if (!batch.deferred_gfns.empty()) {
-        streaming_.emplace(cp.id, StreamState{parent_id, batch.deferred_gfns, 0});
+        streaming_.emplace(cb.id, StreamState{parent_id, batch.deferred_gfns, 0});
         if (lazy_cfg_.auto_stream) {
-          ScheduleStreamTick(cp.id);
+          ScheduleStreamTick(cb.id);
         }
       }
     }
@@ -932,17 +719,7 @@ Status CloneEngine::CloneAborted(DomId child) {
   // An aborted child retires its outstanding slot exactly like a completed
   // one: the parent must not stay paused forever because one clone of a
   // batch failed.
-  auto out = outstanding_.find(parent_id);
-  if (out != outstanding_.end() && --out->second == 0) {
-    outstanding_.erase(out);
-    Domain* parent = hv_.FindDomain(parent_id);
-    if (parent != nullptr) {
-      parent->blocked_in_clone = false;
-      (void)hv_.UnpauseDomain(parent_id);
-      stats_.last_parent_resume = hv_.loop().Now();
-      FireResume(parent_id, /*is_child=*/false);
-    }
-  }
+  RetireOutstanding(parent_id);
   return Status::Ok();
 }
 
@@ -968,18 +745,23 @@ Status CloneEngine::CloneCompletion(DomId child) {
     FireResume(child, /*is_child=*/true);
   }
 
-  auto out = outstanding_.find(parent_id);
-  if (out != outstanding_.end() && --out->second == 0) {
-    outstanding_.erase(out);
-    Domain* parent = hv_.FindDomain(parent_id);
-    if (parent != nullptr) {
-      parent->blocked_in_clone = false;
-      (void)hv_.UnpauseDomain(parent_id);
-      stats_.last_parent_resume = hv_.loop().Now();
-      FireResume(parent_id, /*is_child=*/false);
-    }
-  }
+  RetireOutstanding(parent_id);
   return Status::Ok();
+}
+
+void CloneEngine::RetireOutstanding(DomId parent_id) {
+  auto out = outstanding_.find(parent_id);
+  if (out == outstanding_.end() || --out->second != 0) {
+    return;
+  }
+  outstanding_.erase(out);
+  Domain* parent = hv_.FindDomain(parent_id);
+  if (parent != nullptr) {
+    parent->blocked_in_clone = false;
+    (void)hv_.UnpauseDomain(parent_id);
+    stats_.last_parent_resume = hv_.loop().Now();
+    FireResume(parent_id, /*is_child=*/false);
+  }
 }
 
 void CloneEngine::FireResume(DomId dom, bool is_child) {

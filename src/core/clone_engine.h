@@ -2,26 +2,24 @@
 // the first stage of cloning (Sec. 4.1, 5.1, 5.2). It operates directly on
 // hypervisor state, exactly as the real implementation extends Xen itself.
 //
-// The first stage of a batch runs in three serial phases on the simulation
-// thread, child by child:
+// The first stage of a batch runs in two phases on the simulation thread:
 //
-//   plan    — validation, fault pokes, frame allocations off the free list,
-//           parent-side mutations (COW pte flips, clone accounting), per-child
-//           virtual-time lane math and every metrics/stats update.
-//           Everything that can fail fails here.
-//   stage   — per-child heavy lifting against the pre-allocated frames:
-//           private page copies, COW share refcounts, p2m construction,
-//           grant/event-channel table duplication. Staging cannot fail.
-//   commit  — once every child is staged, in child-index order: parent IDC
+//   build   — child by child, one in-order pass over the parent's p2m:
+//           private pages are copied into fresh frames, every other page is
+//           COW-shared at once (or, in a lazy batch, deferred), then page
+//           tables, p2m frames, grant and event-channel tables. Fault pokes,
+//           the child's virtual-time lane and every counter are updated as
+//           the pass goes. Everything that can fail fails here.
+//   commit  — once every child is built, in child-index order: parent IDC
 //           event-channel fix-up, notification-ring pushes, VIRQ_CLONED,
-//           pending/outstanding bookkeeping.
+//           pending/outstanding bookkeeping. Nothing here can fail.
 //
-// Keeping every failure in plan is what makes rollback exact: a failed batch
-// unwinds fully staged children from their p2m and the failing child from
-// its plan, and no half-staged child ever exists. Virtual time is charged as
-// the critical path over the per-child lanes (the hypervisor builds the
-// children of one CLONEOP independently, so a batch costs its slowest
-// child, not the sum), which for a single clone is the exact serial cost.
+// A failed batch is undone from the children's own p2m, newest child and
+// newest entry first; a half-built child holds exactly the entries its pass
+// reached, so it unwinds the same way. Virtual time is charged as the
+// critical path over the per-child lanes (the hypervisor builds the children
+// of one CLONEOP independently, so a batch costs its slowest child, not the
+// sum), which for a single clone is the exact serial cost.
 
 #ifndef SRC_CORE_CLONE_ENGINE_H_
 #define SRC_CORE_CLONE_ENGINE_H_
@@ -95,7 +93,7 @@ class CloneEngine {
   // stream. A fully-streamed lazy child is state-for-state identical
   // to an eager clone of the same parent.
 
-  // Replaces the prefetcher knobs. Affects batches planned and stream
+  // Replaces the prefetcher knobs. Affects batches built and stream
   // batches run after the call; in-flight streams keep their page list but
   // pick up the new batch size and interval.
   void SetLazyConfig(const LazyCloneConfig& cfg) { lazy_cfg_ = cfg; }
@@ -141,70 +139,42 @@ class CloneEngine {
   const CloneStats& stats() const { return stats_; }
 
  private:
-  // Per-child output of the plan phase: everything StageChild needs to build
-  // the child without taking any decision of its own.
-  struct ChildPlan {
+  // One child of a batch: its domain once created, and its virtual-time
+  // lane (its cost had it been cloned alone, minus the hypercall trap).
+  struct ChildBuild {
     DomId id = kDomInvalid;
     Domain* child = nullptr;
-    // Frames pre-allocated for the child's private guest pages, in ascending
-    // parent-gfn order (parallel to BatchPlan::private_gfns).
-    std::vector<Mfn> private_mfns;
-    // This child's virtual-time lane (its cost had it been cloned alone,
-    // minus the hypercall trap).
     SimDuration lane;
-    // True once StageChild ran: the child is then fully built and rollback
-    // derives its effects from the child's p2m instead of from private_mfns.
-    bool staged = false;
   };
 
-  // Batch-wide facts computed once during the first child's full-page scan.
-  // Later children reuse them instead of re-deciding per page.
-  struct BatchPlan {
-    // Parent gfns holding private-role pages, ascending.
-    std::vector<Gfn> private_gfns;
+  // State shared by the children of one batch.
+  struct Batch {
     // Parent frames that entered COW sharing in THIS batch (rollback must
     // Unshare these; frames shared by an earlier batch only lose a ref).
     std::unordered_set<Mfn> first_shared;
     // Parent ptes flipped writable->read-only by this batch, for rollback.
     std::vector<Gfn> writable_flips;
-    // Shared-page counts (idc + regular = every non-private page).
-    std::size_t idc_pages = 0;
-    std::size_t regular_pages = 0;
-    // Cost of one child's private-page work (identical for every child).
-    SimDuration private_cost;
     DomId first_child = kDomInvalid;
     // --- Lazy mode (set once in Clone(), read-only afterwards). ---
     bool lazy = false;
-    // The hot working set: gfns mapped eagerly. StageChild re-derives the
-    // defer decision from this set, so plan and stage agree by construction.
+    // The hot working set: gfns mapped eagerly; other kData pages defer.
     std::unordered_set<Gfn> hot;
     // Parent gfns deferred for every child (kData, not hot), ascending —
     // the initial stream list of each child.
     std::vector<Gfn> deferred_gfns;
   };
 
-  // Plan phase. PlanFirstChild walks every parent page (classifying,
-  // poking faults in the serial-engine order, bumping page counters,
-  // flipping parent ptes); PlanNextChild is O(private pages) — every one of
-  // its shares is a re-share of a page the first child already shared.
-  // Both leave a partially-planned child behind on failure; RollbackBatch
-  // cleans it up.
-  Status PlanChildCommon(Domain& parent, ChildPlan& cp);
-  Status PlanFirstChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
-  Status PlanNextChild(Domain& parent, BatchPlan& batch, ChildPlan& cp);
-  Status PlanTables(Domain& parent, ChildPlan& cp);
+  // Builds one child of the batch in a single pass over the parent's p2m
+  // (see the file comment). On failure the half-built child is left behind,
+  // recorded in `cb`, for RollbackBatch.
+  Status BuildChild(Domain& parent, Batch& batch, ChildBuild& cb);
 
-  // Lazy-mode plan: a full per-page walk for EVERY child of the batch (no
-  // O(private) fast path — deferral already removed the bulk of the work),
-  // skipping shares for deferred pages. `first` fills the batch-wide facts.
-  Status PlanChildLazy(Domain& parent, BatchPlan& batch, ChildPlan& cp, bool first);
-
-  // Seeds BatchPlan::hot for a lazy batch: specials and private pages are
+  // Seeds Batch::hot for a lazy batch: specials and private pages are
   // implicitly hot (never deferred); this collects the explicit hint plus up
   // to max_hot_pages recently-touched parent pages (dirty_since_clone, then
   // still-writable kData pages — exactly the pages that saw a write since
   // the previous clone).
-  void ComputeHotSet(const Domain& parent, const CloneRequest& req, BatchPlan& batch);
+  void ComputeHotSet(const Domain& parent, const CloneRequest& req, Batch& batch);
 
   // Shares the parent's frame at `gfn` into `child` and clears the deferred
   // ledger entry. The caller has checked the entry is not present and
@@ -240,22 +210,16 @@ class CloneEngine {
   // already committed); tearing down a streaming child cancels its stream.
   void OnDomainDestroy(DomId dom);
 
-  // Stage phase: builds the child from its plan. Touches only the child's
-  // state, its pre-allocated frames, the share refcounts of the parent's
-  // frames and read-only parent state.
-  void StageChild(const Domain& parent, const BatchPlan& batch, ChildPlan& cp);
-
-  // Unwinds a failed batch (children [0, n) of `plans`, newest first) back
-  // to the pre-hypercall state. Staged children are derived-rolled-back
-  // from their p2m; the failing child returns its consumed allocations.
-  void RollbackBatch(Domain& parent, BatchPlan& batch, std::vector<ChildPlan>& plans);
-
-  // Exact per-page counter/lane accounting for a mid-scan plan failure in
-  // PlanNextChild: recomputes what the pages in [0, end_gfn) contributed.
-  void AccountPartialScan(const Domain& parent, Gfn end_gfn, SimDuration& lane);
+  // Unwinds a failed batch (every child in `children`, newest first) back
+  // to the pre-hypercall state, deriving each child's undo from its p2m.
+  void RollbackBatch(Domain& parent, const Batch& batch,
+                     const std::vector<ChildBuild>& children);
 
   void CloneVcpus(const Domain& parent, Domain& child);
   void FireResume(DomId dom, bool is_child);
+  // Retires one outstanding second stage of `parent_id` (completed or
+  // aborted); the last one unblocks and resumes the parent.
+  void RetireOutstanding(DomId parent_id);
 
   struct PendingChild {
     DomId parent = kDomInvalid;

@@ -41,7 +41,7 @@ struct SystemConfig {
   // Start xencloned (and enable cloning globally) at construction.
   bool start_xencloned = true;
   // Inert: nothing in src/, tests/, bench/ or examples/ reads or writes
-  // this field, and clone batches are always staged on the simulation
+  // this field, and clone batches are always built on the simulation
   // thread. It stays only because the perfbench workloads still write it;
   // a follow-up benchmark PR removes it together with those writes.
   unsigned clone_worker_threads = 1;

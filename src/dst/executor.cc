@@ -934,7 +934,7 @@ void Executor::WireScheduler() {
       Expect("hypervisor/domains/created", req.num_children);
       Expect("xencloned/clones_completed", req.num_children);
     } else {
-      // Mid-plan failures roll back with churn the counter model does not
+      // Mid-build failures roll back with churn the counter model does not
       // predict (same as a failed direct batch).
       unmodelled_ = true;
     }

@@ -52,24 +52,6 @@ Status FaultPoint::Poke() {
   return Status(spec_.code, spec_.message + " at " + name_);
 }
 
-FaultPoint::BulkPoke FaultPoint::PokeMany(std::uint64_t n) {
-  BulkPoke result;
-  if (!armed_) {
-    // Fast path: an unarmed Poke() only counts the hit.
-    hits_ += n;
-    result.performed = n;
-    return result;
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    ++result.performed;
-    result.status = Poke();
-    if (!result.status.ok()) {
-      return result;
-    }
-  }
-  return result;
-}
-
 void FaultPoint::Arm(const FaultSpec& spec) {
   spec_ = spec;
   armed_ = true;

@@ -62,17 +62,6 @@ class FaultPoint {
   // and returns the injected error when it fires.
   Status Poke();
 
-  // Bulk poke: exactly equivalent to calling Poke() up to `n` times,
-  // stopping at the first poke that fires. `performed` reports how many
-  // pokes ran (== n when none fired). The clone engine's plan phase uses
-  // this to account a run of identical per-page pokes in O(1) for the
-  // common unarmed case while keeping hit counts and rng draws bit-exact.
-  struct BulkPoke {
-    std::uint64_t performed = 0;
-    Status status;
-  };
-  BulkPoke PokeMany(std::uint64_t n);
-
   // Total Poke() calls since construction (armed or not).
   std::uint64_t hits() const { return hits_; }
   // Total faults injected since construction.

@@ -89,15 +89,11 @@ class Hypervisor {
   Status BuildPageTables(DomId dom);
 
   // Allocates one frame charged to `dom` without touching its p2m — the
-  // clone engine's allocation path (so pool exhaustion and fault injection
-  // are funnelled through one place). The caller records the frame.
-  Result<Mfn> AllocGuestFrame(DomId dom) { return AllocFrameFor(dom); }
-
-  // Same allocation path minus the event-loop charge: the parallel clone
-  // engine plans a whole batch serially and charges virtual time per child
-  // lane (max over lanes, not sum), so the frame_alloc cost must land on the
-  // lane, not on the loop. Fault injection and pool exhaustion behave
-  // exactly like AllocGuestFrame.
+  // clone engine's allocation path; the caller records the frame. Unlike
+  // the boot-time allocations it charges no virtual time: stage 1 puts the
+  // frame_alloc cost on the child's lane, and a batch is charged its slowest
+  // lane, not the sum. Pool exhaustion and the "hypervisor/frame_alloc"
+  // fault point behave exactly as for every other allocation.
   Result<Mfn> StageGuestFrame(DomId dom) {
     NEPHELE_RETURN_IF_ERROR(f_frame_alloc_->Poke());
     return frames_.Alloc(dom);

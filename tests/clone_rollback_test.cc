@@ -1,12 +1,16 @@
 // Error-path unit tests for the transactional clone engine: one test per
 // stage, asserting the exact injected Status code surfaces to the caller,
 // the precise metric counters (clone/rolled_back, fault/injected,
-// clone/clones_total), and that the rollback left no trace — pool frames at
-// the pre-clone value, parent resumable and re-clonable.
+// clone/clones_total), and that the rollback left no trace — the parent's
+// p2m, its frames' ownership and sharing, the pool at the pre-clone value,
+// parent resumable and re-clonable. Faults halfway through a child's page
+// walk cover the rollback of a half-built child.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/core/system.h"
@@ -26,7 +30,7 @@ class CloneRollbackTest : public ::testing::Test {
     return cfg;
   }
 
-  DomId BootParent(bool with_devices = false) {
+  static DomId BootParent(NepheleSystem& sys, bool with_devices = false) {
     DomainConfig cfg;
     cfg.name = "parent";
     cfg.memory_mb = 4;
@@ -35,15 +39,56 @@ class CloneRollbackTest : public ::testing::Test {
     cfg.with_p9fs = with_devices;
     cfg.with_vbd = with_devices;
     cfg.vbd_size_mb = 1;
-    auto dom = system_.toolstack().CreateDomain(cfg);
+    auto dom = sys.toolstack().CreateDomain(cfg);
     EXPECT_TRUE(dom.ok()) << dom.status().ToString();
-    system_.Settle();
+    sys.Settle();
     return *dom;
   }
+  DomId BootParent(bool with_devices = false) { return BootParent(system_, with_devices); }
 
-  Mfn StartInfoMfn(DomId dom) {
-    const Domain* d = system_.hypervisor().FindDomain(dom);
+  static Mfn StartInfoMfn(NepheleSystem& sys, DomId dom) {
+    const Domain* d = sys.hypervisor().FindDomain(dom);
     return d->p2m[d->start_info_gfn].mfn;
+  }
+  Mfn StartInfoMfn(DomId dom) { return StartInfoMfn(system_, dom); }
+
+  // Hits `point` takes per child in an unfaulted clone of `num_children`
+  // children, measured on a fresh system booted exactly like this one.
+  static std::uint64_t HitsPerChild(const std::string& point, unsigned num_children,
+                                    bool lazy) {
+    NepheleSystem dry(SmallSystem());
+    DomId parent = BootParent(dry);
+    const std::uint64_t before = dry.fault_injector().HitCount(point);
+    auto r = dry.clone_engine().Clone(
+        {parent, parent, StartInfoMfn(dry, parent), num_children, lazy});
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    const std::uint64_t hits = dry.fault_injector().HitCount(point) - before;
+    EXPECT_EQ(hits % num_children, 0u) << "children of one batch take the same hits";
+    return hits / num_children;
+  }
+
+  // Everything of the parent a failed clone must leave as it found it.
+  struct ParentSnapshot {
+    // Per gfn: the p2m entry's (mfn, writable) and its frame's (owner,
+    // refcount, shared).
+    std::vector<std::tuple<Mfn, bool, DomId, std::uint32_t, bool>> pages;
+    std::size_t shared_frames = 0;
+    std::size_t saved_by_sharing = 0;
+    std::size_t free_frames = 0;
+  };
+
+  ParentSnapshot Snapshot(DomId parent) {
+    const Hypervisor& hv = system_.hypervisor();
+    const FrameTable& frames = hv.frames();
+    ParentSnapshot snap;
+    for (const P2mEntry& pe : hv.FindDomain(parent)->p2m) {
+      const FrameInfo& f = frames.info(pe.mfn);
+      snap.pages.emplace_back(pe.mfn, pe.writable, f.owner, f.refcount, f.shared);
+    }
+    snap.shared_frames = frames.shared_frames();
+    snap.saved_by_sharing = frames.frames_saved_by_sharing();
+    snap.free_frames = hv.FreePoolFrames();
+    return snap;
   }
 
   std::uint64_t RolledBack() {
@@ -54,20 +99,25 @@ class CloneRollbackTest : public ::testing::Test {
     return system_.metrics().GetCounter("clone/clones_total").value();
   }
 
-  // Arms `point` to fail the first stage-1 attempt, checks the full rollback
-  // contract, then proves an un-faulted clone still works.
-  void ExpectStage1Rollback(const std::string& point) {
-    SCOPED_TRACE(point);
+  // Arms `point` to fail its `nth` hit during a clone of `num_children`
+  // children, checks the full rollback contract, then proves an un-faulted
+  // clone of the same shape still works.
+  void ExpectStage1Rollback(const std::string& point, std::uint64_t nth = 1,
+                            unsigned num_children = 1, bool lazy = false) {
+    SCOPED_TRACE(point + " nth=" + std::to_string(nth) + " children=" +
+                 std::to_string(num_children) + (lazy ? " lazy" : " eager"));
     DomId parent = BootParent();
     const Domain* p = system_.hypervisor().FindDomain(parent);
     const std::size_t free_before = system_.hypervisor().FreePoolFrames();
     const std::size_t domains_before = system_.hypervisor().DomainIds().size();
     const bool data_writable_before = p->p2m[310].writable;
+    const ParentSnapshot before = Snapshot(parent);
 
     ASSERT_TRUE(system_.fault_injector()
-                    .Arm(point, FaultSpec::NthHit(1, StatusCode::kAborted, "boom"))
+                    .Arm(point, FaultSpec::NthHit(nth, StatusCode::kAborted, "boom"))
                     .ok());
-    auto r = system_.clone_engine().Clone({parent, parent, StartInfoMfn(parent), 1});
+    auto r = system_.clone_engine().Clone(
+        {parent, parent, StartInfoMfn(parent), num_children, lazy});
     system_.Settle();
 
     // The injected code surfaces verbatim.
@@ -89,13 +139,20 @@ class CloneRollbackTest : public ::testing::Test {
     EXPECT_EQ(p->clones_created, 0u);
     EXPECT_EQ(p->p2m[310].writable, data_writable_before)
         << "parent pte not restored by rollback";
+    const ParentSnapshot after = Snapshot(parent);
+    EXPECT_EQ(after.pages, before.pages) << "parent p2m or frame state changed";
+    EXPECT_EQ(after.shared_frames, before.shared_frames);
+    EXPECT_EQ(after.saved_by_sharing, before.saved_by_sharing);
+    EXPECT_EQ(after.free_frames, before.free_frames);
+    EXPECT_EQ(CheckHypervisorInvariants(system_.hypervisor()), "");
 
     // The engine stays usable: disarm and clone for real.
     system_.fault_injector().DisarmAll();
-    auto ok = system_.clone_engine().Clone({parent, parent, StartInfoMfn(parent), 1});
+    auto ok = system_.clone_engine().Clone(
+        {parent, parent, StartInfoMfn(parent), num_children, lazy});
     system_.Settle();
     ASSERT_TRUE(ok.ok()) << ok.status().ToString();
-    EXPECT_EQ(ClonesTotal(), 1u);
+    EXPECT_EQ(ClonesTotal(), num_children);
     EXPECT_EQ(RolledBack(), 1u);  // unchanged by the successful clone
   }
 
@@ -162,6 +219,44 @@ TEST_F(CloneRollbackTest, PageTableStage) {
 TEST_F(CloneRollbackTest, GrantStage) { ExpectStage1Rollback("clone/stage1/grants"); }
 
 TEST_F(CloneRollbackTest, EvtchnStage) { ExpectStage1Rollback("clone/stage1/evtchns"); }
+
+// --- Stage-1 rollback of a half-built child: the fault lands halfway
+// through one child's page walk, after it already copied private pages and
+// shared others. ---
+
+TEST_F(CloneRollbackTest, ShareFaultHalfwayThroughFirstChild) {
+  const std::uint64_t per_child = HitsPerChild("clone/stage1/share", 3, /*lazy=*/false);
+  ASSERT_GT(per_child, 1u);
+  ExpectStage1Rollback("clone/stage1/share", per_child / 2, 3, /*lazy=*/false);
+}
+
+TEST_F(CloneRollbackTest, ShareFaultHalfwayThroughFirstLazyChild) {
+  const std::uint64_t per_child = HitsPerChild("clone/stage1/share", 3, /*lazy=*/true);
+  ASSERT_GT(per_child, 1u);
+  ExpectStage1Rollback("clone/stage1/share", per_child / 2, 3, /*lazy=*/true);
+}
+
+TEST_F(CloneRollbackTest, ShareFaultHalfwayThroughThirdChild) {
+  const std::uint64_t per_child = HitsPerChild("clone/stage1/share", 3, /*lazy=*/false);
+  ASSERT_GT(per_child, 1u);
+  ExpectStage1Rollback("clone/stage1/share", 2 * per_child + per_child / 2, 3,
+                       /*lazy=*/false);
+}
+
+TEST_F(CloneRollbackTest, ShareFaultHalfwayThroughThirdLazyChild) {
+  const std::uint64_t per_child = HitsPerChild("clone/stage1/share", 3, /*lazy=*/true);
+  ASSERT_GT(per_child, 1u);
+  ExpectStage1Rollback("clone/stage1/share", 2 * per_child + per_child / 2, 3,
+                       /*lazy=*/true);
+}
+
+// Child 1's first allocation is its first private page: child 0 is fully
+// built, child 1 holds nothing but its domain.
+TEST_F(CloneRollbackTest, FrameAllocFaultOnSecondChildsFirstPrivatePage) {
+  const std::uint64_t per_child = HitsPerChild("hypervisor/frame_alloc", 3, /*lazy=*/false);
+  ASSERT_GT(per_child, 0u);
+  ExpectStage1Rollback("hypervisor/frame_alloc", per_child + 1, 3, /*lazy=*/false);
+}
 
 // Frame-pool exhaustion inside CloneMemory's private-page allocation.
 TEST_F(CloneRollbackTest, FrameAllocDuringCloneMemory) {

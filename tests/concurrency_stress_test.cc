@@ -56,7 +56,7 @@ class ConcurrencyStressTest : public ::testing::Test {
 
 // The main stress loop: every round clones a batch, COW-writes in some
 // children, resets one, destroys a couple, and every other round arms a
-// fault point so a batch fails mid-plan and rolls back. Invariants hold
+// fault point so a batch fails mid-build and rolls back. Invariants hold
 // after every round; full teardown leaks nothing.
 TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
   NepheleSystem sys(StressSystem());
@@ -120,7 +120,7 @@ TEST_F(ConcurrencyStressTest, MixedWorkloadKeepsInvariantsEveryRound) {
     sys.Settle();
 
     // Every other round: force a mid-batch failure and check the rollback
-    // unwinds the staged children completely.
+    // unwinds the built children completely.
     if (round % 2 == 1) {
       const auto& [point, nth] = points[static_cast<std::size_t>(round / 2) % points.size()];
       SCOPED_TRACE("rollback via " + point);
