@@ -66,7 +66,7 @@ void AblationCache() {
     (void)guests.ContextOf(*dom)->Fork(1, nullptr);
     system.Settle();
     std::printf("# clone %d userspace ops: %.3f ms (%s)\n", i + 1,
-                system.xencloned().stats().last_second_stage.ToMillis(),
+                system.xencloned().last_second_stage().ToMillis(),
                 i == 0 ? "cache miss" : "cache hit");
   }
 }

@@ -68,7 +68,7 @@ UnikraftSample MeasureUnikraft(std::size_t keys) {
   // hypervisor unpauses it after second-stage completion.
   out.clone_ms = (system.clone_engine().stats().last_parent_resume - save_start).ToMillis();
   out.save_ms = (system.Now() - save_start).ToMillis();
-  out.userspace_ms = system.xencloned().stats().last_second_stage.ToMillis();
+  out.userspace_ms = system.xencloned().last_second_stage().ToMillis();
   return out;
 }
 

@@ -46,11 +46,9 @@ void Xencloned::DrainNotifications() {
 const DomainConfig& Xencloned::ParentConfig(DomId parent) {
   ParentInfoCache& cache = parent_cache_[parent];
   if (cache.valid) {
-    ++stats_.cache_hits;
     m_cache_hits_.Increment();
     return cache.config;
   }
-  ++stats_.cache_misses;
   m_cache_misses_.Increment();
   // First clone of this parent: read its Xenstore information and keep it
   // cached to speed up future invocations (Sec. 6.2).
@@ -92,8 +90,6 @@ Status Xencloned::DeepCopyXenstoreEntries(DomId /*parent*/, DomId child,
                                           const DomainConfig& config) {
   // Ablation path: one write request per entry, "similarly to how the
   // Xenstore entries are created on regular instantiation" (Sec. 6.1).
-  const std::string dp = XsDomainPath(child);
-  const std::string parent_name = config.name;
   // The first failed write stops the copy; later calls are no-ops so the
   // long literal sequence below needs no per-call checks.
   Status status = Status::Ok();
@@ -105,20 +101,11 @@ Status Xencloned::DeepCopyXenstoreEntries(DomId /*parent*/, DomId child,
     if (!status.ok()) {
       return;
     }
-    ++stats_.deep_copy_writes;
     m_deep_copy_writes_.Increment();
   };
-  write(dp + "/name", parent_name);
-  write(dp + "/domid", std::to_string(child));
-  write(dp + "/console/ring-ref", "consring");
-  write(dp + "/console/port", "2");
-  write(dp + "/console/type", "xenconsoled");
-  write(dp + "/console/limit", "1048576");
-  write(dp + "/store/ring-ref", "storering");
-  write(dp + "/store/port", "1");
-  write("/vm/" + std::to_string(child) + "/name", parent_name);
-  write("/vm/" + std::to_string(child) + "/uuid", "uuid-" + std::to_string(child));
-  write("/libxl/" + std::to_string(child) + "/type", "pv");
+  for (const auto& [path, value] : BaseXenstoreEntries(child, config.name)) {
+    write(path, value);
+  }
   if (config.with_vif) {
     const std::string fe = XsFrontendPath(child, "vif", 0);
     const std::string be = XsBackendPath(kDom0, "vif", child, 0);
@@ -251,10 +238,9 @@ Status Xencloned::RunSecondStage(const CloneNotification& n) {
   if (child_cfg.start_clones_paused) {
     (void)hv_.PauseDomain(n.child);
   }
-  ++stats_.clones_completed;
   m_clones_completed_.Increment();
-  stats_.last_second_stage = loop_.Now() - stage_start;
-  m_stage2_ns_.Observe(stats_.last_second_stage.ns());
+  last_second_stage_ = loop_.Now() - stage_start;
+  m_stage2_ns_.Observe(last_second_stage_.ns());
   if (!wait_for_udev) {
     // Step 2.4: nothing left in userspace; report completion now.
     (void)engine_.CloneCompletion(n.child);
@@ -266,31 +252,7 @@ Status Xencloned::RunSecondStage(const CloneNotification& n) {
 void Xencloned::AbortSecondStage(const CloneNotification& n, const Status& why) {
   NEPHELE_LOG(kWarn, "xencloned") << "aborting second stage of dom" << n.child << ": "
                                   << why.ToString();
-  const DomainConfig& cfg = ParentConfig(n.parent);
-  // Reverse of the second-stage order; every step is best-effort — whatever
-  // was not yet created simply reports not-found and is skipped.
-  if (cfg.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{n.child, DeviceType::kVbd, 0});
-    (void)xs_.Rm(XsBackendPath(kDom0, "vbd", n.child, 0));
-  }
-  if (cfg.with_p9fs) {
-    if (P9BackendProcess* proc = devices_.p9().FindServing(n.child); proc != nullptr) {
-      (void)proc->ReleaseDomain(n.child);
-    }
-    (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", n.child, 0));
-  }
-  if (cfg.with_vif) {
-    (void)devices_.netback().DestroyDevice(DeviceId{n.child, DeviceType::kVif, 0});
-    (void)xs_.Rm(XsBackendPath(kDom0, "vif", n.child, 0));
-  }
-  (void)devices_.console().DestroyConsole(n.child);
-  (void)xs_.Rm(XsDomainPath(n.child));
-  (void)xs_.Rm("/vm/" + std::to_string(n.child));
-  (void)xs_.Rm("/libxl/" + std::to_string(n.child));
-  if (xs_.DomainKnown(n.child)) {
-    (void)xs_.ReleaseDomain(n.child);
-  }
-  ++stats_.clones_aborted;
+  toolstack_.TearDownDom0State(n.child, ParentConfig(n.parent));
   m_clones_aborted_.Increment();
   // Retire the pending slot first so the parent is unblocked even if the
   // destroy below were to fail.

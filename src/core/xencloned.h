@@ -24,20 +24,6 @@
 
 namespace nephele {
 
-struct XenclonedStats {
-  std::uint64_t clones_completed = 0;
-  // Second stages that failed midway and were unwound (child destroyed,
-  // Xenstore subtrees removed, parent unblocked).
-  std::uint64_t clones_aborted = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t deep_copy_writes = 0;
-  // Userspace (second-stage) duration of the most recent clone, excluding
-  // asynchronous udev completion — the "userspace operations" series of
-  // Figs. 6 and 8.
-  SimDuration last_second_stage;
-};
-
 class Xencloned {
  public:
   // Records into services.metrics, traces stage 2 into services.trace and
@@ -58,11 +44,10 @@ class Xencloned {
   // wiring); completes the userspace part of device setup.
   void HandleUdev(const UdevEvent& event);
 
-  const XenclonedStats& stats() const { return stats_; }
-
-  // Drains any pending notifications immediately (normally driven by
-  // VIRQ_CLONED through the event loop).
-  void DrainNotifications();
+  // Userspace (second-stage) duration of the most recent clone, excluding
+  // asynchronous udev completion — the "userspace operations" series of
+  // Figs. 6 and 8.
+  SimDuration last_second_stage() const { return last_second_stage_; }
 
  private:
   struct ParentInfoCache {
@@ -70,14 +55,15 @@ class Xencloned {
     bool valid = false;
   };
 
+  // Drains the notification ring; bound to VIRQ_CLONED by Start().
+  void DrainNotifications();
   void HandleNotification(const CloneNotification& n);
   // The fallible body of the second stage. Any error aborts the clone:
   // HandleNotification then calls AbortSecondStage to unwind.
   Status RunSecondStage(const CloneNotification& n);
-  // Best-effort reverse-order unwind of a failed second stage: device
-  // backends, Xenstore subtrees, the store connection and finally the child
-  // domain itself; retires the pending slot through CloneEngine::CloneAborted
-  // so the parent never stays blocked on the failed child.
+  // Unwinds a failed second stage: the toolstack's one Dom0 teardown, then
+  // retires the pending slot through CloneEngine::CloneAborted (so the
+  // parent never stays blocked on the failed child) and destroys the child.
   void AbortSecondStage(const CloneNotification& n, const Status& why);
   // Reads (or serves from cache) the parent's Xenstore information needed
   // to build the clone's entries (Sec. 6.2: ~3 ms first clone, ~1.9 ms
@@ -106,7 +92,7 @@ class Xencloned {
   bool use_xs_clone_ = true;
   std::map<DomId, ParentInfoCache> parent_cache_;
   std::uint64_t clone_name_counter_ = 0;
-  XenclonedStats stats_;
+  SimDuration last_second_stage_;
 };
 
 }  // namespace nephele

@@ -612,8 +612,9 @@ void Executor::OpLaunch() {
     Expect("toolstack/domains_booted", 1);
     Expect("hypervisor/domains/created", 1);
   } else {
-    // A failed boot unwinds itself (FailBoot) with create/destroy churn the
-    // counter model does not predict.
+    // A failed build unwinds itself through the toolstack's Dom0 teardown
+    // and a domain destroy: create/destroy churn the counter model does not
+    // predict.
     unmodelled_ = true;
   }
 }

@@ -28,6 +28,25 @@ void TapeFuzzer::Report(const RunResult& result) {
   engine_.ReportResult(last_bytes_, result.edges, !result.ok());
 }
 
+void ForEachGeneratedRound(
+    std::span<const std::uint64_t> seeds, int rounds,
+    const std::function<void(std::uint64_t seed, const Tape&, const RunResult&)>& visit,
+    const std::function<void(const TapeFuzzer&)>& seed_done) {
+  const int per_seed = (rounds + 7) / 8;
+  for (std::uint64_t seed : seeds) {
+    TapeFuzzer fuzzer(seed);
+    for (int i = 0; i < per_seed; ++i) {
+      Tape tape = fuzzer.Next();
+      RunResult r = RunTape(tape);
+      fuzzer.Report(r);
+      visit(seed, tape, r);
+    }
+    if (seed_done) {
+      seed_done(fuzzer);
+    }
+  }
+}
+
 namespace {
 
 // Operand reductions tried per op once deletion bottoms out. Selectors pull

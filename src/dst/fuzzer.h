@@ -21,6 +21,8 @@
 #define SRC_DST_FUZZER_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "src/dst/executor.h"
@@ -46,6 +48,23 @@ class TapeFuzzer {
   AflEngine engine_;
   std::vector<std::uint8_t> last_bytes_;
 };
+
+// The generated DST rounds: kDefaultGeneratedRounds tapes spread evenly
+// over eight fuzzer seeds, split into two halves of four. The dst suite
+// checks each half both for oracle violations and for rerun determinism;
+// the dst_digests tool prints one digest line per tape of both halves.
+inline constexpr int kDefaultGeneratedRounds = 400;
+inline constexpr std::uint64_t kFirstHalfSeeds[] = {1, 2, 3, 5};
+inline constexpr std::uint64_t kSecondHalfSeeds[] = {8, 13, 21, 34};
+
+// Runs each seed's share of `rounds` tapes (rounds / 8, rounded up) with
+// default options, feeding coverage back to the seed's fuzzer; hands every
+// tape and its run to `visit`, and each seed's fuzzer to `seed_done` once
+// its share has run.
+void ForEachGeneratedRound(
+    std::span<const std::uint64_t> seeds, int rounds,
+    const std::function<void(std::uint64_t seed, const Tape&, const RunResult&)>& visit,
+    const std::function<void(const TapeFuzzer&)>& seed_done = nullptr);
 
 struct ShrinkOutcome {
   Tape tape;             // the minimised failing tape

@@ -105,50 +105,44 @@ std::unique_ptr<GuestContext> GuestManager::BuildContext(DomId dom, const Domain
   return ctx;
 }
 
-void GuestManager::WireDelivery(DomId /*dom*/, GuestInstance& instance) {
-  GuestApp* app = instance.app.get();
-  GuestContext* ctx = instance.ctx.get();
+GuestManager::GuestInstance& GuestManager::Install(DomId dom, const DomainConfig& config,
+                                                   std::unique_ptr<GuestApp> app,
+                                                   const GuestContext* parent_ctx) {
+  GuestInstance instance;
+  instance.app = std::move(app);
+  instance.ctx = BuildContext(dom, config, parent_ctx);
+  GuestInstance& installed = guests_.emplace(dom, std::move(instance)).first->second;
+  GuestApp* app_ptr = installed.app.get();
+  GuestContext* ctx = installed.ctx.get();
   MiniStack* stack = &ctx->net();
   if (stack->frontend() != nullptr) {
     stack->frontend()->set_receive_handler(
         [stack](const Packet& p) { stack->OnFrameReceived(p); });
   }
-  stack->SetDeliveryHandler([app, ctx](const Packet& p) { app->OnPacket(*ctx, p); });
+  stack->SetDeliveryHandler([app_ptr, ctx](const Packet& p) { app_ptr->OnPacket(*ctx, p); });
+  return installed;
+}
+
+DomId GuestManager::Start(DomId dom, const DomainConfig& config, std::unique_ptr<GuestApp> app) {
+  Install(dom, config, std::move(app), /*parent_ctx=*/nullptr);
+  // Unikernel init runs inside the guest; OnBoot fires once it is done.
+  system_.loop().Post(system_.costs().guest_boot, [this, dom] {
+    auto git = guests_.find(dom);
+    if (git != guests_.end()) {
+      git->second.app->OnBoot(*git->second.ctx);
+    }
+  });
+  return dom;
 }
 
 Result<DomId> GuestManager::Launch(const DomainConfig& config, std::unique_ptr<GuestApp> app) {
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, system_.toolstack().CreateDomain(config));
-  GuestInstance instance;
-  instance.app = std::move(app);
-  instance.ctx = BuildContext(dom, config, /*parent_ctx=*/nullptr);
-  auto [it, inserted] = guests_.emplace(dom, std::move(instance));
-  WireDelivery(dom, it->second);
-  // Unikernel init runs inside the guest; OnBoot fires once it is done.
-  SimDuration boot = system_.costs().guest_boot;
-  system_.loop().Post(boot, [this, dom] {
-    auto git = guests_.find(dom);
-    if (git != guests_.end()) {
-      git->second.app->OnBoot(*git->second.ctx);
-    }
-  });
-  return dom;
+  return Start(dom, config, std::move(app));
 }
 
 Result<DomId> GuestManager::Restore(const DomainImage& image, std::unique_ptr<GuestApp> app) {
   NEPHELE_ASSIGN_OR_RETURN(DomId dom, system_.toolstack().RestoreDomain(image));
-  GuestInstance instance;
-  instance.app = std::move(app);
-  instance.ctx = BuildContext(dom, image.config, /*parent_ctx=*/nullptr);
-  auto [it, inserted] = guests_.emplace(dom, std::move(instance));
-  WireDelivery(dom, it->second);
-  SimDuration resume = system_.costs().guest_boot;
-  system_.loop().Post(resume, [this, dom] {
-    auto git = guests_.find(dom);
-    if (git != guests_.end()) {
-      git->second.app->OnBoot(*git->second.ctx);
-    }
-  });
-  return dom;
+  return Start(dom, image.config, std::move(app));
 }
 
 Status GuestManager::Fork(DomId parent, unsigned num_children, ForkContinuation continuation,
@@ -198,17 +192,14 @@ void GuestManager::MaterialiseChild(DomId child, PendingFork& pending) {
   DomId parent = pending_child_parent_[child];
   const DomainConfig* cfg = system_.toolstack().FindConfig(child);
   GuestContext* parent_ctx = ContextOf(parent);
-  GuestInstance instance;
-  instance.app = std::move(sit->second);
-  instance.ctx = BuildContext(child, cfg != nullptr ? *cfg : DomainConfig{}, parent_ctx);
+  GuestInstance& installed = Install(child, cfg != nullptr ? *cfg : DomainConfig{},
+                                     std::move(sit->second), parent_ctx);
   pending.snapshots.erase(sit);
-  auto [it, inserted] = guests_.emplace(child, std::move(instance));
-  WireDelivery(child, it->second);
 
   if (pending.continuation) {
     ForkResult result;
     result.is_child = true;
-    pending.continuation(*it->second.ctx, *it->second.app, result);
+    pending.continuation(*installed.ctx, *installed.app, result);
   }
 }
 
@@ -267,13 +258,10 @@ Result<DomId> GuestManager::MigrateTo(GuestManager& target, DomId dom) {
   guests_.erase(dom);
 
   NEPHELE_ASSIGN_OR_RETURN(DomId new_dom, target.system_.toolstack().MigrateIn(stream));
-  GuestInstance instance;
-  instance.app = std::move(app);
-  instance.ctx = target.BuildContext(new_dom, stream.config, /*parent_ctx=*/nullptr);
-  auto [git, inserted] = target.guests_.emplace(new_dom, std::move(instance));
-  target.WireDelivery(new_dom, git->second);
-  git->second.ctx->net().CopyStateFrom(stack_snapshot);
-  git->second.ctx->arena().AdoptAllocationsFrom(arena_snapshot);
+  GuestInstance& moved = target.Install(new_dom, stream.config, std::move(app),
+                                        /*parent_ctx=*/nullptr);
+  moved.ctx->net().CopyStateFrom(stack_snapshot);
+  moved.ctx->arena().AdoptAllocationsFrom(arena_snapshot);
   return new_dom;
 }
 

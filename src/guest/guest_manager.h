@@ -88,7 +88,14 @@ class GuestManager : public CloneObserver {
   // Builds the runtime plumbing (stack, arena, fs) for a domain.
   std::unique_ptr<GuestContext> BuildContext(DomId dom, const DomainConfig& config,
                                              const GuestContext* parent_ctx);
-  void WireDelivery(DomId dom, GuestInstance& instance);
+  // The one way a guest joins this manager — booted, restored, cloned or
+  // migrated in: builds its context, registers the instance and wires
+  // packet delivery from its vif to the app.
+  GuestInstance& Install(DomId dom, const DomainConfig& config, std::unique_ptr<GuestApp> app,
+                         const GuestContext* parent_ctx);
+  // Launch and Restore: installs a domain the toolstack just booted and
+  // schedules app->OnBoot() after the guest boot delay.
+  DomId Start(DomId dom, const DomainConfig& config, std::unique_ptr<GuestApp> app);
 
   Host& system_;
   std::map<DomId, GuestInstance> guests_;

@@ -36,59 +36,81 @@ std::size_t Toolstack::Dom0FreeBytes() const {
   return used >= kDom0TotalBytes ? 0 : kDom0TotalBytes - used;
 }
 
-Status Toolstack::FailBoot(DomId dom, const DomainConfig& config, GuestDevices& devices,
-                           Status why) {
-  // Reverse of the setup order. Every step is best-effort: whatever was not
-  // yet created simply reports not-found and is skipped.
-  if (devices.p9 != nullptr) {
-    (void)devices.p9->ReleaseDomain(dom);
-  }
+void Toolstack::TearDownDom0State(DomId dom, const DomainConfig& config) {
+  // Every step is best-effort: whatever was never created simply reports
+  // not-found and is skipped.
   if (config.with_vif) {
     (void)devices_.netback().DestroyDevice(DeviceId{dom, DeviceType::kVif, 0});
+  }
+  if (config.with_p9fs) {
+    if (P9BackendProcess* proc = devices_.p9().FindServing(dom); proc != nullptr) {
+      (void)proc->ReleaseDomain(dom);
+    }
+  }
+  if (config.with_vbd) {
+    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
+  }
+  (void)devices_.console().DestroyConsole(dom);
+  (void)xs_.Rm(XsDomainPath(dom));
+  (void)xs_.Rm("/vm/" + std::to_string(dom));
+  (void)xs_.Rm("/libxl/" + std::to_string(dom));
+  // Backend directories live under Dom0's path and must go too.
+  if (config.with_vif) {
     (void)xs_.Rm(XsBackendPath(kDom0, "vif", dom, 0));
   }
   if (config.with_p9fs) {
     (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", dom, 0));
   }
   if (config.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
     (void)xs_.Rm(XsBackendPath(kDom0, "vbd", dom, 0));
   }
-  (void)devices_.console().DestroyConsole(dom);
-  (void)xs_.Rm(XsDomainPath(dom));
-  (void)xs_.Rm("/vm/" + std::to_string(dom));
-  (void)xs_.Rm("/libxl/" + std::to_string(dom));
   if (xs_.DomainKnown(dom)) {
     (void)xs_.ReleaseDomain(dom);
   }
-  (void)hv_.DestroyDomain(dom);
-  return why;
 }
 
-void Toolstack::WriteBaseXenstoreEntries(DomId dom, const DomainConfig& config) {
+std::vector<std::pair<std::string, std::string>> BaseXenstoreEntries(DomId dom,
+                                                                     const std::string& name) {
   const std::string dp = XsDomainPath(dom);
-  (void)xs_.Write(dp + "/name", config.name);
-  (void)xs_.Write(dp + "/domid", std::to_string(dom));
-  (void)xs_.Write(dp + "/console/ring-ref", "consring");
-  (void)xs_.Write(dp + "/console/port", "2");
-  (void)xs_.Write(dp + "/console/type", "xenconsoled");
-  (void)xs_.Write(dp + "/console/limit", "1048576");
-  (void)xs_.Write(dp + "/store/ring-ref", "storering");
-  (void)xs_.Write(dp + "/store/port", "1");
-  (void)xs_.Write("/vm/" + std::to_string(dom) + "/name", config.name);
-  (void)xs_.Write("/vm/" + std::to_string(dom) + "/uuid", "uuid-" + std::to_string(dom));
-  (void)xs_.Write("/libxl/" + std::to_string(dom) + "/type", "pv");
+  const std::string id = std::to_string(dom);
+  return {{dp + "/name", name},
+          {dp + "/domid", id},
+          {dp + "/console/ring-ref", "consring"},
+          {dp + "/console/port", "2"},
+          {dp + "/console/type", "xenconsoled"},
+          {dp + "/console/limit", "1048576"},
+          {dp + "/store/ring-ref", "storering"},
+          {dp + "/store/port", "1"},
+          {"/vm/" + id + "/name", name},
+          {"/vm/" + id + "/uuid", "uuid-" + id},
+          {"/libxl/" + id + "/type", "pv"}};
 }
 
-Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config,
-                                      bool charge_image_copy) {
+Result<DomId> Toolstack::BuildDomain(const DomainConfig& config, const LoadStep& load) {
+  hv_.ChargeHypercall();
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(config.name, config.vcpus));
+  GuestDevices devices;
+  if (Status s = SetUpDomain(dom, config, load, devices); !s.ok()) {
+    // A failed build leaves Dom0 and the pool exactly as it found them.
+    TearDownDom0State(dom, config);
+    (void)hv_.DestroyDomain(dom);
+    return s;
+  }
+  guest_devices_[dom] = std::move(devices);
+  configs_[dom] = config;
+  hv_.ChargeHypercall();
+  (void)hv_.UnpauseDomain(dom);
+  return dom;
+}
+
+Status Toolstack::SetUpDomain(DomId dom, const DomainConfig& config, const LoadStep& load,
+                              GuestDevices& devices) {
   const GuestMemoryLayout layout = ComputeGuestLayout(config, hv_.config().min_domain_pages);
   if (layout.heap_pages == 0 &&
       layout.total_pages <
           layout.text_pages + layout.data_pages + layout.io_pages + layout.special_pages) {
     return ErrInvalidArgument("memory too small for image + I/O pages");
   }
-
   NEPHELE_RETURN_IF_ERROR(
       hv_.PopulatePhysmap(dom, layout.text_pages, PageRole::kImageText).status());
   NEPHELE_RETURN_IF_ERROR(hv_.PopulatePhysmap(dom, layout.data_pages, PageRole::kData).status());
@@ -96,10 +118,27 @@ Status Toolstack::PopulateGuestMemory(DomId dom, const DomainConfig& config,
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kStartInfo).status());
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kConsoleRing).status());
   NEPHELE_RETURN_IF_ERROR(hv_.AllocSpecialPage(dom, PageRole::kXenstoreRing).status());
-  if (charge_image_copy) {
-    // Loading text+data from the image file into guest memory.
-    loop_.AdvanceBy(costs_.page_copy *
-                    static_cast<double>(config.image_text_pages + config.image_data_pages));
+  NEPHELE_RETURN_IF_ERROR(load(dom));
+  NEPHELE_RETURN_IF_ERROR(hv_.BuildPageTables(dom));
+  if (config.max_clones > 0) {
+    hv_.ChargeHypercall();
+    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, config.max_clones);
+  }
+
+  (void)xs_.IntroduceDomain(dom);
+  for (const auto& [path, value] : BaseXenstoreEntries(dom, config.name)) {
+    (void)xs_.Write(path, value);
+  }
+  NEPHELE_RETURN_IF_ERROR(
+      devices_.console().CreateConsole(dom, hv_.FindDomain(dom)->console_ring_gfn));
+  if (config.with_vif) {
+    NEPHELE_RETURN_IF_ERROR(SetupVif(dom, config, devices));
+  }
+  if (config.with_p9fs) {
+    NEPHELE_RETURN_IF_ERROR(SetupP9(dom, config, devices));
+  }
+  if (config.with_vbd) {
+    NEPHELE_RETURN_IF_ERROR(SetupVbd(dom, config, devices));
   }
   return Status::Ok();
 }
@@ -248,137 +287,19 @@ Result<DomId> Toolstack::CreateDomain(const DomainConfig& config) {
   }
 
   NEPHELE_RETURN_IF_ERROR(f_create_domain_->Poke());
-  hv_.ChargeHypercall();
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(config.name, config.vcpus));
-
-  GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> { return FailBoot(dom, config, devices, s); };
-
-  if (Status s = PopulateGuestMemory(dom, config, /*charge_image_copy=*/true); !s.ok()) {
-    return fail(s);
-  }
-  if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
-    return fail(s);
-  }
-  if (config.max_clones > 0) {
-    hv_.ChargeHypercall();
-    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, config.max_clones);
-  }
-
-  (void)xs_.IntroduceDomain(dom);
-  WriteBaseXenstoreEntries(dom, config);
-
-  if (Status s = devices_.console().CreateConsole(
-          dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (config.with_vif) {
-    if (Status s = SetupVif(dom, config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (config.with_p9fs) {
-    if (Status s = SetupP9(dom, config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (config.with_vbd) {
-    if (Status s = SetupVbd(dom, config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-
-  guest_devices_[dom] = std::move(devices);
-  configs_[dom] = config;
-  ++domains_booted_;
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, BuildDomain(config, [&](DomId) {
+    // Loading text+data from the image file into guest memory.
+    loop_.AdvanceBy(costs_.page_copy *
+                    static_cast<double>(config.image_text_pages + config.image_data_pages));
+    return Status::Ok();
+  }));
   m_domains_booted_.Increment();
-
-  hv_.ChargeHypercall();
-  (void)hv_.UnpauseDomain(dom);
   m_boot_ns_.Observe((loop_.Now() - boot_start).ns());
   span.AddArg("dom", static_cast<std::int64_t>(dom));
   return dom;
 }
 
-Result<DomainImage> Toolstack::SaveDomain(DomId dom) {
-  const Domain* d = hv_.FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  auto cfg_it = configs_.find(dom);
-  if (cfg_it == configs_.end()) {
-    return ErrNotFound("domain not managed by toolstack");
-  }
-  (void)hv_.PauseDomain(dom);
-  loop_.AdvanceBy(costs_.save_fixed);
-  // The whole allocation is serialized, used or not (Sec. 6.1).
-  loop_.AdvanceBy(costs_.page_copy * static_cast<double>(d->tot_pages()));
-  DomainImage image{cfg_it->second, d->tot_pages()};
-  (void)hv_.UnpauseDomain(dom);
-  return image;
-}
-
-Result<DomId> Toolstack::RestoreDomain(const DomainImage& image) {
-  const SimTime restore_start = loop_.Now();
-  loop_.AdvanceBy(costs_.xl_exec_overhead);
-  loop_.AdvanceBy(costs_.restore_fixed);
-  hv_.ChargeHypercall();
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom, hv_.CreateDomain(image.config.name, image.config.vcpus));
-  GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> { return FailBoot(dom, image.config, devices, s); };
-  if (Status s = PopulateGuestMemory(dom, image.config, /*charge_image_copy=*/false); !s.ok()) {
-    return fail(s);
-  }
-  // "The entire allocated VM memory is copied back from the image ...
-  // regardless of the amount of memory that is actually used" (Sec. 6.1).
-  loop_.AdvanceBy(costs_.page_copy * static_cast<double>(image.pages));
-  if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
-    return fail(s);
-  }
-  if (image.config.max_clones > 0) {
-    hv_.ChargeHypercall();
-    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, image.config.max_clones);
-  }
-
-  (void)xs_.IntroduceDomain(dom);
-  WriteBaseXenstoreEntries(dom, image.config);
-
-  if (Status s =
-          devices_.console().CreateConsole(dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (image.config.with_vif) {
-    if (Status s = SetupVif(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (image.config.with_p9fs) {
-    if (Status s = SetupP9(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (image.config.with_vbd) {
-    if (Status s = SetupVbd(dom, image.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  guest_devices_[dom] = std::move(devices);
-  configs_[dom] = image.config;
-  m_domains_restored_.Increment();
-
-  hv_.ChargeHypercall();
-  (void)hv_.UnpauseDomain(dom);
-  m_restore_ns_.Observe((loop_.Now() - restore_start).ns());
-  return dom;
-}
-
-
-
-Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds,
-                                                  std::function<void()> between_rounds,
-                                                  LiveMigrationStats* stats) {
+Result<std::pair<Domain*, const DomainConfig*>> Toolstack::FindManaged(DomId dom) {
   Domain* d = hv_.FindDomain(dom);
   if (d == nullptr) {
     return ErrNotFound("no such domain");
@@ -387,25 +308,65 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
   if (cfg_it == configs_.end()) {
     return ErrNotFound("domain not managed by toolstack");
   }
+  return std::pair<Domain*, const DomainConfig*>{d, &cfg_it->second};
+}
+
+Result<DomainImage> Toolstack::SaveDomain(DomId dom) {
+  NEPHELE_ASSIGN_OR_RETURN(auto managed, FindManaged(dom));
+  auto [d, config] = managed;
+  (void)hv_.PauseDomain(dom);
+  loop_.AdvanceBy(costs_.save_fixed);
+  // The whole allocation is serialized, used or not (Sec. 6.1).
+  loop_.AdvanceBy(costs_.page_copy * static_cast<double>(d->tot_pages()));
+  DomainImage image{*config, d->tot_pages()};
+  (void)hv_.UnpauseDomain(dom);
+  return image;
+}
+
+Result<DomId> Toolstack::RestoreDomain(const DomainImage& image) {
+  const SimTime restore_start = loop_.Now();
+  loop_.AdvanceBy(costs_.xl_exec_overhead);
+  loop_.AdvanceBy(costs_.restore_fixed);
+  NEPHELE_ASSIGN_OR_RETURN(DomId dom, BuildDomain(image.config, [&](DomId) {
+    // "The entire allocated VM memory is copied back from the image ...
+    // regardless of the amount of memory that is actually used" (Sec. 6.1).
+    loop_.AdvanceBy(costs_.page_copy * static_cast<double>(image.pages));
+    return Status::Ok();
+  }));
+  m_domains_restored_.Increment();
+  m_restore_ns_.Observe((loop_.Now() - restore_start).ns());
+  return dom;
+}
+
+bool Toolstack::ShipPage(const Domain& d, Gfn gfn, MigrationStream& stream) {
+  loop_.AdvanceBy(costs_.migrate_per_page);
+  // Not-present entries (a lazy clone snapshotted mid-stream) ship as zero.
+  const Mfn mfn = d.p2m[gfn].mfn;
+  const FrameInfo* info = mfn == kInvalidMfn ? nullptr : &hv_.frames().info(mfn);
+  if (info == nullptr || info->data == nullptr) {
+    return false;
+  }
+  stream.written_pages[gfn].assign(info->data->begin(), info->data->end());
+  loop_.AdvanceBy(costs_.MigrateTransferCost(kPageSize));
+  return true;
+}
+
+Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds,
+                                                  std::function<void()> between_rounds,
+                                                  LiveMigrationStats* stats) {
+  NEPHELE_ASSIGN_OR_RETURN(auto managed, FindManaged(dom));
+  auto [d, config] = managed;
   if (d->parent != kDomInvalid || !d->children.empty()) {
     return RefuseFamilyMigration(*d);
   }
 
   MigrationStream stream;
-  stream.config = cfg_it->second;
+  stream.config = *config;
   stream.pages = d->tot_pages();
   LiveMigrationStats local;
-  const FrameTable& frames = hv_.frames();
-
-  auto ship_page = [&](Gfn gfn) {
-    loop_.AdvanceBy(costs_.migrate_per_page);
-    const FrameInfo& info = frames.info(d->p2m[gfn].mfn);
-    if (info.data != nullptr) {
-      stream.written_pages[gfn] =
-          std::vector<std::uint8_t>(info.data->begin(), info.data->end());
-      loop_.AdvanceBy(costs_.MigrateTransferCost(kPageSize));
-    } else {
-      stream.written_pages.erase(gfn);
+  auto ship = [&](Gfn gfn) {
+    if (!ShipPage(*d, gfn, stream)) {
+      stream.written_pages.erase(gfn);  // a re-shipped page that reads as zero now
     }
     ++local.pages_shipped;
   };
@@ -413,7 +374,7 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
   // Round 0: full sweep while the guest keeps running.
   NEPHELE_RETURN_IF_ERROR(hv_.SetDirtyLogging(dom, true));
   for (Gfn gfn = 0; gfn < d->p2m.size(); ++gfn) {
-    ship_page(gfn);
+    ship(gfn);
   }
   ++local.precopy_rounds;
 
@@ -433,7 +394,7 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
       break;
     }
     for (Gfn gfn : *dirty) {
-      ship_page(gfn);
+      ship(gfn);
     }
     ++local.precopy_rounds;
   }
@@ -449,7 +410,7 @@ Result<MigrationStream> Toolstack::MigrateOutLive(DomId dom, unsigned max_rounds
     return last_dirty.status();
   }
   for (Gfn gfn : *last_dirty) {
-    ship_page(gfn);
+    ship(gfn);
   }
   loop_.AdvanceBy(costs_.save_fixed);
   local.downtime = loop_.Now() - down_start;
@@ -485,38 +446,21 @@ Status Toolstack::RefuseFamilyMigration(const Domain& d) {
   return ErrFailedPrecondition(msg);
 }
 
-Result<MigrationStream> Toolstack::SerializePages(const Domain& d, const DomainConfig& config) {
+MigrationStream Toolstack::SerializePages(const Domain& d, const DomainConfig& config) {
   loop_.AdvanceBy(costs_.save_fixed);
   MigrationStream stream;
   stream.config = config;
   stream.pages = d.tot_pages();
   // Stop-and-copy: walk the p2m, shipping materialised page contents.
-  // Not-present entries (a lazy clone snapshotted mid-stream) ship as zero.
-  const FrameTable& frames = hv_.frames();
   for (Gfn gfn = 0; gfn < d.p2m.size(); ++gfn) {
-    loop_.AdvanceBy(costs_.migrate_per_page);
-    if (d.p2m[gfn].mfn == kInvalidMfn) {
-      continue;
-    }
-    const FrameInfo& info = frames.info(d.p2m[gfn].mfn);
-    if (info.data != nullptr) {
-      stream.written_pages[gfn] =
-          std::vector<std::uint8_t>(info.data->begin(), info.data->end());
-      loop_.AdvanceBy(costs_.MigrateTransferCost(kPageSize));
-    }
+    (void)ShipPage(d, gfn, stream);
   }
   return stream;
 }
 
 Result<MigrationStream> Toolstack::BeginMigrateOut(DomId dom) {
-  Domain* d = hv_.FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  auto cfg_it = configs_.find(dom);
-  if (cfg_it == configs_.end()) {
-    return ErrNotFound("domain not managed by toolstack");
-  }
+  NEPHELE_ASSIGN_OR_RETURN(auto managed, FindManaged(dom));
+  auto [d, config] = managed;
   if (d->parent != kDomInvalid || !d->children.empty()) {
     return RefuseFamilyMigration(*d);
   }
@@ -526,7 +470,7 @@ Result<MigrationStream> Toolstack::BeginMigrateOut(DomId dom) {
   }
   const bool was_running = d->state == DomainState::kRunning;
   (void)hv_.PauseDomain(dom);
-  NEPHELE_ASSIGN_OR_RETURN(MigrationStream stream, SerializePages(*d, cfg_it->second));
+  MigrationStream stream = SerializePages(*d, *config);
   pending_emigrations_[dom] = was_running;
   return stream;
 }
@@ -558,17 +502,11 @@ Result<MigrationStream> Toolstack::MigrateOut(DomId dom) {
 }
 
 Result<MigrationStream> Toolstack::SnapshotDomain(DomId dom) {
-  Domain* d = hv_.FindDomain(dom);
-  if (d == nullptr) {
-    return ErrNotFound("no such domain");
-  }
-  auto cfg_it = configs_.find(dom);
-  if (cfg_it == configs_.end()) {
-    return ErrNotFound("domain not managed by toolstack");
-  }
+  NEPHELE_ASSIGN_OR_RETURN(auto managed, FindManaged(dom));
+  auto [d, config] = managed;
   const bool was_running = d->state == DomainState::kRunning;
   (void)hv_.PauseDomain(dom);
-  auto stream = SerializePages(*d, cfg_it->second);
+  MigrationStream stream = SerializePages(*d, *config);
   if (was_running) {
     (void)hv_.UnpauseDomain(dom);
   }
@@ -577,58 +515,15 @@ Result<MigrationStream> Toolstack::SnapshotDomain(DomId dom) {
 
 Result<DomId> Toolstack::MigrateIn(const MigrationStream& stream) {
   loop_.AdvanceBy(costs_.restore_fixed);
-  hv_.ChargeHypercall();
-  NEPHELE_ASSIGN_OR_RETURN(DomId dom,
-                           hv_.CreateDomain(stream.config.name, stream.config.vcpus));
-  GuestDevices devices;
-  auto fail = [&](Status s) -> Result<DomId> {
-    return FailBoot(dom, stream.config, devices, s);
-  };
-  if (Status s = PopulateGuestMemory(dom, stream.config, /*charge_image_copy=*/false); !s.ok()) {
-    return fail(s);
-  }
-  // Replay the shipped pages, then rebuild page tables from the p2m and
-  // update it with the new machine frame numbers (Sec. 5.2).
-  for (const auto& [gfn, bytes] : stream.written_pages) {
-    if (Status s = hv_.WriteGuestPage(dom, gfn, 0, bytes.data(), bytes.size()); !s.ok()) {
-      return fail(s);
+  // Replay the shipped pages; the build then rebuilds page tables from the
+  // p2m with the new machine frame numbers (Sec. 5.2).
+  return BuildDomain(stream.config, [&](DomId dom) -> Status {
+    for (const auto& [gfn, bytes] : stream.written_pages) {
+      NEPHELE_RETURN_IF_ERROR(hv_.WriteGuestPage(dom, gfn, 0, bytes.data(), bytes.size()));
     }
-  }
-  loop_.AdvanceBy(costs_.migrate_per_page * static_cast<double>(stream.pages));
-  if (Status s = hv_.BuildPageTables(dom); !s.ok()) {
-    return fail(s);
-  }
-  if (stream.config.max_clones > 0) {
-    hv_.ChargeHypercall();
-    (void)hv_.SetCloneConfig(dom, /*enabled=*/true, stream.config.max_clones);
-  }
-
-  (void)xs_.IntroduceDomain(dom);
-  WriteBaseXenstoreEntries(dom, stream.config);
-  if (Status s = devices_.console().CreateConsole(dom, hv_.FindDomain(dom)->console_ring_gfn);
-      !s.ok()) {
-    return fail(s);
-  }
-  if (stream.config.with_vif) {
-    if (Status s = SetupVif(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (stream.config.with_p9fs) {
-    if (Status s = SetupP9(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  if (stream.config.with_vbd) {
-    if (Status s = SetupVbd(dom, stream.config, devices); !s.ok()) {
-      return fail(s);
-    }
-  }
-  guest_devices_[dom] = std::move(devices);
-  configs_[dom] = stream.config;
-  hv_.ChargeHypercall();
-  (void)hv_.UnpauseDomain(dom);
-  return dom;
+    loop_.AdvanceBy(costs_.migrate_per_page * static_cast<double>(stream.pages));
+    return Status::Ok();
+  });
 }
 
 Status Toolstack::DestroyDomain(DomId dom) {
@@ -636,32 +531,9 @@ Status Toolstack::DestroyDomain(DomId dom) {
   if (cfg_it == configs_.end()) {
     return ErrNotFound("domain not managed by toolstack");
   }
-  if (cfg_it->second.with_vif) {
-    (void)devices_.netback().DestroyDevice(DeviceId{dom, DeviceType::kVif, 0});
-  }
-  if (GuestDevices* gd = FindDevices(dom); gd != nullptr && gd->p9 != nullptr) {
-    (void)gd->p9->ReleaseDomain(dom);
-  }
-  if (cfg_it->second.with_vbd) {
-    (void)devices_.vbd().DestroyDisk(DeviceId{dom, DeviceType::kVbd, 0});
-  }
-  (void)devices_.console().DestroyConsole(dom);
-  (void)xs_.Rm(XsDomainPath(dom));
-  (void)xs_.Rm("/vm/" + std::to_string(dom));
-  (void)xs_.Rm("/libxl/" + std::to_string(dom));
-  // Backend directories live under Dom0's path and must go too.
-  if (cfg_it->second.with_vif) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vif", dom, 0));
-  }
-  if (cfg_it->second.with_p9fs) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "9pfs", dom, 0));
-  }
-  if (cfg_it->second.with_vbd) {
-    (void)xs_.Rm(XsBackendPath(kDom0, "vbd", dom, 0));
-  }
-  (void)xs_.ReleaseDomain(dom);
+  TearDownDom0State(dom, cfg_it->second);
   guest_devices_.erase(dom);
-  configs_.erase(dom);
+  configs_.erase(cfg_it);
   hv_.ChargeHypercall();
   m_domains_destroyed_.Increment();
   return hv_.DestroyDomain(dom);

@@ -11,6 +11,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/result.h"
@@ -50,6 +51,13 @@ struct MigrationStream {
   std::map<Gfn, std::vector<std::uint8_t>> written_pages;
 };
 
+// The Xenstore records every fresh domain gets (name, domid, console,
+// store, /vm and /libxl), as (path, value) in write order. xl create,
+// restore and migrate-in write them one request each; so does xencloned's
+// per-entry deep-copy ablation.
+std::vector<std::pair<std::string, std::string>> BaseXenstoreEntries(DomId dom,
+                                                                     const std::string& name);
+
 class Toolstack {
  public:
   // Records into services.metrics, traces boots into services.trace and
@@ -72,6 +80,13 @@ class Toolstack {
 
   // xl destroy.
   Status DestroyDomain(DomId dom);
+
+  // The one Dom0 teardown: best-effort removal of everything Dom0 holds for
+  // `dom` (vif, 9pfs, vbd, console, its Xenstore subtrees and backend
+  // directories, its store connection), whatever part of it exists. Leaves
+  // the domain itself and the toolstack's registry alone. DestroyDomain, a
+  // failed build and xencloned's second-stage abort all run it.
+  void TearDownDom0State(DomId dom, const DomainConfig& config);
 
   // xl migrate --live: pre-copy emigration. Round 0 ships every page while
   // the guest keeps running under log-dirty; each further round re-ships
@@ -146,29 +161,39 @@ class Toolstack {
   static constexpr std::size_t kDom0BytesPerDomainBookkeeping = 26 * 1024;
   std::size_t Dom0FreeBytes() const;
 
-  // Auto-assigned guest addressing.
-  MacAddr NextMac() { return 0x00163e000000ULL + next_mac_suffix_++; }
-  Ipv4Addr NextIp() { return MakeIpv4(10, 8, 0, 2) + next_ip_suffix_++; }
-
-  std::uint64_t domains_booted() const { return domains_booted_; }
-
  private:
-  // Writes the Xenstore records a fresh domain gets (console, store, name,
-  // /vm, /libxl and device entries), issuing real requests.
-  void WriteBaseXenstoreEntries(DomId dom, const DomainConfig& config);
+  // What a build puts into the freshly populated physmap: the image load of
+  // xl create and restore, the page replay of migrate-in.
+  using LoadStep = std::function<Status(DomId)>;
+
+  // The one domain build of xl create, restore and migrate-in: create the
+  // domain, populate its physmap, run `load`, build page tables, set the
+  // clone config, introduce it to Xenstore with the base entries, then
+  // console, vif, 9pfs and vbd; register and unpause it. A failure at any
+  // step runs TearDownDom0State and destroys the domain.
+  Result<DomId> BuildDomain(const DomainConfig& config, const LoadStep& load);
+  // The fallible body of BuildDomain, between create and register.
+  Status SetUpDomain(DomId dom, const DomainConfig& config, const LoadStep& load,
+                     GuestDevices& devices);
   Status SetupVif(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupP9(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupVbd(DomId dom, const DomainConfig& config, GuestDevices& devices);
-  Status PopulateGuestMemory(DomId dom, const DomainConfig& config, bool charge_image_copy);
+  // The domain and its config, or kNotFound ("no such domain" / "domain
+  // not managed by toolstack") for save, migrate-out and snapshot.
+  Result<std::pair<Domain*, const DomainConfig*>> FindManaged(DomId dom);
   // The typed Sec. 8 refusal: kFailedPrecondition naming every blocking
   // relative (parent and children, with names and domids).
   Status RefuseFamilyMigration(const Domain& d);
+  // Charges one page of the stream and ships its contents into `stream` if
+  // it is materialised; returns whether it was (otherwise the page reads
+  // as zero on the target).
+  bool ShipPage(const Domain& d, Gfn gfn, MigrationStream& stream);
   // Shared stop-and-copy serializer of BeginMigrateOut and SnapshotDomain.
-  Result<MigrationStream> SerializePages(const Domain& d, const DomainConfig& config);
-  // Unwinds a partially-completed boot (create/restore/migrate-in): device
-  // backends, console, xenstore subtrees and finally the domain itself, so
-  // a failed xl create leaves Dom0 exactly as it found it.
-  Status FailBoot(DomId dom, const DomainConfig& config, GuestDevices& devices, Status why);
+  MigrationStream SerializePages(const Domain& d, const DomainConfig& config);
+
+  // Auto-assigned guest addressing.
+  MacAddr NextMac() { return 0x00163e000000ULL + next_mac_suffix_++; }
+  Ipv4Addr NextIp() { return MakeIpv4(10, 8, 0, 2) + next_ip_suffix_++; }
 
   Hypervisor& hv_;
   XenstoreDaemon& xs_;
@@ -196,7 +221,6 @@ class Toolstack {
   bool name_check_enabled_ = false;
   std::uint64_t next_mac_suffix_ = 1;
   std::uint32_t next_ip_suffix_ = 0;
-  std::uint64_t domains_booted_ = 0;
 };
 
 }  // namespace nephele

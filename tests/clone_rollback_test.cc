@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/core/system.h"
@@ -191,6 +194,7 @@ class CloneRollbackTest : public ::testing::Test {
     EXPECT_EQ(RolledBack(), 1u);
     EXPECT_EQ(system_.metrics().GetCounter("xencloned/clones_aborted").value(), 1u);
     EXPECT_EQ(system_.metrics().GetCounter("xencloned/clones_completed").value(), 0u);
+    ExpectNoDom0Trace(system_, child);
 
     system_.fault_injector().DisarmAll();
     auto ok = system_.clone_engine().Clone({parent, parent, StartInfoMfn(parent), 1});
@@ -433,46 +437,93 @@ TEST_F(CloneRollbackTest, CloneResetAfterAbortedCloneStaysConsistent) {
   ExpectFrameConsistency(system_);
 }
 
-// --- Toolstack boot unwinding (the FailBoot path). ---
+// --- Toolstack build unwinding: xl create, restore and migrate-in share one
+// build, and a failed build runs the one Dom0 teardown. ---
 
-TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
-  // Fail the nth frame allocation for several n, walking the fault through
-  // the boot sequence (domain creation, physmap population, special pages,
-  // device rings). Every failed boot must unwind completely; boots that
-  // survive are torn down and still must return to the starting state.
+// The guest every failed-build test boots: every device type, so the
+// teardown has something of each kind to remove.
+DomainConfig DoomedConfig() {
   DomainConfig cfg;
+  cfg.name = "doomed";
   cfg.memory_mb = 4;
   cfg.max_clones = 4;
   cfg.with_p9fs = true;
   cfg.with_vbd = true;
-  unsigned boots_failed = 0;
-  for (unsigned nth : {1u, 10u, 100u, 300u, 600u}) {
-    SCOPED_TRACE(nth);
-    const std::size_t free_before = system_.hypervisor().FreePoolFrames();
-    const std::size_t domains_before = system_.hypervisor().DomainIds().size();
-    ASSERT_TRUE(system_.fault_injector()
-                    .Arm("hypervisor/frame_alloc", FaultSpec::NthHit(nth))
-                    .ok());
-    cfg.name = "doomed" + std::to_string(nth);
-    auto dom = system_.toolstack().CreateDomain(cfg);
-    system_.Settle();
-    system_.fault_injector().DisarmAll();
-    if (dom.ok()) {
-      ASSERT_TRUE(system_.toolstack().DestroyDomain(*dom).ok());
-      system_.Settle();
-    } else {
-      ++boots_failed;
-    }
-    EXPECT_EQ(system_.hypervisor().FreePoolFrames(), free_before);
-    EXPECT_EQ(system_.hypervisor().DomainIds().size(), domains_before);
-  }
-  EXPECT_GE(boots_failed, 1u) << "no nth-hit value made the boot fail";
+  return cfg;
+}
 
-  // And boot still works afterwards.
-  cfg.name = "phoenix";
-  auto ok = system_.toolstack().CreateDomain(cfg);
-  system_.Settle();
+// Fails the nth frame allocation for several n, walking the fault through
+// the build `boot` runs (domain creation, physmap population, special pages,
+// page tables), then fails the vif ring grant, after Xenstore entries and
+// the console already exist. Every failed build must unwind completely:
+// free pool, domain count, Xenstore and the rest of Dom0 as they were.
+// Builds that survive are torn down and still must return to the starting
+// state.
+void ExpectFailedBuildsLeaveNoTrace(NepheleSystem& sys,
+                                    const std::function<Result<DomId>()>& boot) {
+  const std::pair<std::string, std::uint64_t> faults[] = {
+      {"hypervisor/frame_alloc", 1},   {"hypervisor/frame_alloc", 10},
+      {"hypervisor/frame_alloc", 100}, {"hypervisor/frame_alloc", 300},
+      {"hypervisor/frame_alloc", 600}, {"hypervisor/grant_access", 1}};
+  std::map<std::string, unsigned> failed;  // by fault point
+  for (const auto& [point, nth] : faults) {
+    SCOPED_TRACE(point + " nth=" + std::to_string(nth));
+    const std::size_t free_before = sys.hypervisor().FreePoolFrames();
+    const std::size_t domains_before = sys.hypervisor().DomainIds().size();
+    const std::size_t xs_entries_before = sys.xenstore().NumEntries();
+    ASSERT_TRUE(sys.fault_injector().Arm(point, FaultSpec::NthHit(nth)).ok());
+    auto dom = boot();
+    sys.Settle();
+    sys.fault_injector().DisarmAll();
+    if (dom.ok()) {
+      ASSERT_TRUE(sys.toolstack().DestroyDomain(*dom).ok());
+      sys.Settle();
+    } else {
+      ++failed[point];
+    }
+    EXPECT_EQ(sys.hypervisor().FreePoolFrames(), free_before);
+    EXPECT_EQ(sys.hypervisor().DomainIds().size(), domains_before);
+    EXPECT_EQ(sys.xenstore().NumEntries(), xs_entries_before);
+    // Domain ids are issued in order from 1: every one that is not alive,
+    // the failed build's included, left nothing in Dom0.
+    const std::uint64_t issued = sys.metrics().GetCounter("hypervisor/domains/created").value();
+    for (DomId id = 1; id <= issued; ++id) {
+      if (sys.hypervisor().FindDomain(id) == nullptr) {
+        ExpectNoDom0Trace(sys, id);
+      }
+    }
+  }
+  EXPECT_GE(failed["hypervisor/frame_alloc"], 1u) << "no nth value failed the memory setup";
+  EXPECT_EQ(failed["hypervisor/grant_access"], 1u) << "the vif ring grant did not fail the build";
+
+  // And the build still works afterwards.
+  auto ok = boot();
+  sys.Settle();
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
+}
+
+TEST_F(CloneRollbackTest, FailedBootLeavesNoTrace) {
+  ExpectFailedBuildsLeaveNoTrace(system_,
+                                 [&] { return system_.toolstack().CreateDomain(DoomedConfig()); });
+}
+
+TEST_F(CloneRollbackTest, FailedRestoreLeavesNoTrace) {
+  auto source = system_.toolstack().CreateDomain(DoomedConfig());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  auto image = system_.toolstack().SaveDomain(*source);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  system_.Settle();
+  ExpectFailedBuildsLeaveNoTrace(system_,
+                                 [&] { return system_.toolstack().RestoreDomain(*image); });
+}
+
+TEST_F(CloneRollbackTest, FailedMigrateInLeavesNoTrace) {
+  auto source = system_.toolstack().CreateDomain(DoomedConfig());
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  auto stream = system_.toolstack().SnapshotDomain(*source);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  system_.Settle();
+  ExpectFailedBuildsLeaveNoTrace(system_, [&] { return system_.toolstack().MigrateIn(*stream); });
 }
 
 }  // namespace

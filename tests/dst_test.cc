@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <set>
 #include <span>
@@ -315,15 +316,13 @@ TEST(HvFuzzCorpusTest, DigestsAreByteIdenticalAcrossReruns) {
 // Coverage-guided rounds: the oracle holds over fresh tapes.
 // ---------------------------------------------------------------------------
 
-constexpr int kDefaultRounds = 400;
-
-// NEPHELE_DST_ROUNDS: unset or empty runs kDefaultRounds, 0 skips the
+// NEPHELE_DST_ROUNDS: unset or empty runs kDefaultGeneratedRounds, 0 skips the
 // generated rounds, a positive decimal integer runs that many. Anything
 // else (`abc`, `-3`, `40x`) is an error naming the value rather than a
 // silent skip or a truncated count.
 Result<int> ParseGeneratedRounds(const char* env) {
   if (env == nullptr || *env == '\0') {
-    return kDefaultRounds;
+    return kDefaultGeneratedRounds;
   }
   const std::string_view text(env);
   int rounds = 0;
@@ -336,8 +335,8 @@ Result<int> ParseGeneratedRounds(const char* env) {
 }
 
 TEST(DstRoundsEnvTest, ParsesDefaultSkipAndCountAndRejectsTheRest) {
-  EXPECT_EQ(*ParseGeneratedRounds(nullptr), kDefaultRounds);
-  EXPECT_EQ(*ParseGeneratedRounds(""), kDefaultRounds);
+  EXPECT_EQ(*ParseGeneratedRounds(nullptr), kDefaultGeneratedRounds);
+  EXPECT_EQ(*ParseGeneratedRounds(""), kDefaultGeneratedRounds);
   EXPECT_EQ(*ParseGeneratedRounds("0"), 0);
   EXPECT_EQ(*ParseGeneratedRounds("40"), 40);
   for (const char* bad : {"abc", "-3", "40x", " 40", "+40", "4.5", "99999999999"}) {
@@ -348,29 +347,18 @@ TEST(DstRoundsEnvTest, ParsesDefaultSkipAndCountAndRejectsTheRest) {
   }
 }
 
-// The generated rounds: NEPHELE_DST_ROUNDS tapes spread over eight fuzzer
-// seeds. The seeds split into two halves, and the oracle test and the
-// determinism test each run once per half, so every round is checked both
-// ways while each test stays half the length.
-constexpr std::uint64_t kFirstHalfSeeds[] = {1, 2, 3, 5};
-constexpr std::uint64_t kSecondHalfSeeds[] = {8, 13, 21, 34};
-
-// Runs each seed's share of `rounds` tapes with default options, feeds the
-// coverage back, and hands every tape and run to `visit`.
-template <typename Visit>
-void ForEachGeneratedRound(std::span<const std::uint64_t> seeds, int rounds, Visit visit) {
-  const int per_seed = (rounds + 7) / 8;
-  for (std::uint64_t seed : seeds) {
-    TapeFuzzer fuzzer(seed);
-    for (int i = 0; i < per_seed; ++i) {
-      Tape tape = fuzzer.Next();
-      RunResult r = RunTape(tape);
-      fuzzer.Report(r);
-      visit(seed, tape, r);
-    }
+// The generated rounds: NEPHELE_DST_ROUNDS tapes over the eight fuzzer
+// seeds of src/dst/fuzzer.h. The oracle test and the determinism test each
+// run once per half of the seeds, so every round is checked both ways while
+// each test stays half the length. Every seed's fuzzer must cover edges and
+// run exactly its share.
+void RunGeneratedRounds(
+    std::span<const std::uint64_t> seeds, int rounds,
+    const std::function<void(std::uint64_t seed, const Tape&, const RunResult&)>& visit) {
+  ForEachGeneratedRound(seeds, rounds, visit, [rounds](const TapeFuzzer& fuzzer) {
     EXPECT_GT(fuzzer.engine().edges_covered(), 0u);
-    EXPECT_EQ(fuzzer.engine().executions(), static_cast<std::uint64_t>(per_seed));
-  }
+    EXPECT_EQ(fuzzer.engine().executions(), static_cast<std::uint64_t>((rounds + 7) / 8));
+  });
 }
 
 // Fixture of the generated-round tests: reads NEPHELE_DST_ROUNDS once per
@@ -391,7 +379,7 @@ class GeneratedRoundsTest : public ::testing::Test {
   void ExpectRoundsOracleClean(std::span<const std::uint64_t> seeds) const {
     std::size_t executed = 0;
     std::set<OpKind> kinds;
-    ForEachGeneratedRound(seeds, rounds_,
+    RunGeneratedRounds(seeds, rounds_,
                           [&](std::uint64_t seed, const Tape& tape, const RunResult& r) {
       ++executed;
       for (const Op& op : tape.ops) {
@@ -409,7 +397,7 @@ class GeneratedRoundsTest : public ::testing::Test {
       }
     });
     EXPECT_GE(executed, static_cast<std::size_t>(rounds_) / 2);
-    if (rounds_ >= kDefaultRounds) {
+    if (rounds_ >= kDefaultGeneratedRounds) {
       EXPECT_EQ(kinds.size(), kNumOpKinds);
     }
   }
@@ -417,7 +405,7 @@ class GeneratedRoundsTest : public ::testing::Test {
   // Every generated tape of one half yields a byte-identical digest when
   // rerun.
   void ExpectRoundsDeterministic(std::span<const std::uint64_t> seeds) const {
-    ForEachGeneratedRound(seeds, rounds_,
+    RunGeneratedRounds(seeds, rounds_,
                           [](std::uint64_t seed, const Tape& tape, const RunResult& r) {
       EXPECT_EQ(r.digest, RunTape(tape).digest)
           << "seed " << seed << ": rerun diverged\n" << tape.ToText();

@@ -2,6 +2,7 @@
 
 #include "src/core/system.h"
 #include "src/xenstore/path.h"
+#include "tests/frame_invariants.h"
 
 namespace nephele {
 namespace {
@@ -112,6 +113,7 @@ TEST_F(ToolstackTest, DestroyReleasesResourcesAndRegistry) {
   EXPECT_FALSE(system_.xenstore().DomainKnown(*dom));
   EXPECT_FALSE(system_.xenstore().Exists(XsDomainPath(*dom)));
   EXPECT_EQ(system_.toolstack().FindDevices(*dom), nullptr);
+  ExpectNoDom0Trace(system_, *dom);
 }
 
 TEST_F(ToolstackTest, SaveRestoreRoundTrip) {
