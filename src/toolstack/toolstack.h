@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +23,7 @@
 #include "src/obs/services.h"
 #include "src/obs/trace.h"
 #include "src/toolstack/domain_config.h"
+#include "src/xenstore/path.h"
 #include "src/xenstore/store.h"
 
 namespace nephele {
@@ -57,6 +59,31 @@ struct MigrationStream {
 // per-entry deep-copy ablation.
 std::vector<std::pair<std::string, std::string>> BaseXenstoreEntries(DomId dom,
                                                                      const std::string& name);
+
+// One xenbus split device: the config flag that gives a domain one, and the
+// xs_clone flavour of its directories. Device 0 of a domain lives at
+// <domain>/device/<name>/0 (frontend) and Dom0's backend/<name>/<dom>/0.
+struct SplitDevice {
+  DeviceType type;
+  bool DomainConfig::*enabled;
+  XsCloneOp clone_op;
+
+  bool In(const DomainConfig& config) const { return config.*enabled; }
+  std::string FrontendPath(DomId dom) const {
+    return XsFrontendPath(dom, DeviceTypeName(type), 0);
+  }
+  std::string BackendPath(DomId dom) const {
+    return XsBackendPath(kDom0, DeviceTypeName(type), dom, 0);
+  }
+};
+
+// The split devices in boot order. Code that only cares about a device's
+// Xenstore directories (xs_clone, the deep copy, teardown) loops over it.
+inline constexpr SplitDevice kSplitDevices[] = {
+    {DeviceType::kVif, &DomainConfig::with_vif, XsCloneOp::kDevVif},
+    {DeviceType::kP9fs, &DomainConfig::with_p9fs, XsCloneOp::kDev9pfs},
+    {DeviceType::kVbd, &DomainConfig::with_vbd, XsCloneOp::kDevVbd},
+};
 
 class Toolstack {
  public:
@@ -175,6 +202,12 @@ class Toolstack {
   // The fallible body of BuildDomain, between create and register.
   Status SetUpDomain(DomId dom, const DomainConfig& config, const LoadStep& load,
                      GuestDevices& devices);
+  // Stage 1 of a xenbus negotiation: seeds the frontend directory (backend
+  // link, `fe_keys`, state) and the backend directory (frontend link,
+  // `be_keys`, state), both Initialising, one write request per key.
+  using XsKeys = std::initializer_list<std::pair<const char*, std::string>>;
+  void SeedDeviceDirs(DomId dom, const std::string& fe_path, const std::string& be_path,
+                      XsKeys fe_keys, XsKeys be_keys);
   Status SetupVif(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupP9(DomId dom, const DomainConfig& config, GuestDevices& devices);
   Status SetupVbd(DomId dom, const DomainConfig& config, GuestDevices& devices);
