@@ -1,5 +1,6 @@
 #include "src/devices/p9.h"
 
+#include <algorithm>
 #include <string_view>
 
 namespace nephele {
@@ -226,6 +227,19 @@ Status P9BackendRegistry::CloneForChild(DomId parent, DomId child) {
     return ErrNotFound("no backend serves parent");
   }
   return proc->QmpCloneFids(parent, child);
+}
+
+Status P9BackendRegistry::ReleaseDomain(DomId dom) {
+  auto it = std::find_if(processes_.begin(), processes_.end(),
+                         [dom](const auto& p) { return p->ServesDomain(dom); });
+  if (it == processes_.end()) {
+    return ErrNotFound("no backend serves domain");
+  }
+  NEPHELE_RETURN_IF_ERROR((*it)->ReleaseDomain(dom));
+  if (!(*it)->ServesAnyDomain()) {
+    processes_.erase(it);
+  }
+  return Status::Ok();
 }
 
 P9BackendProcess* P9BackendRegistry::FindServing(DomId dom) {

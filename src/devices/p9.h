@@ -63,6 +63,7 @@ class P9BackendProcess {
 
   std::size_t NumFids(DomId dom) const;
   bool ServesDomain(DomId dom) const { return tables_.contains(dom); }
+  bool ServesAnyDomain() const { return !tables_.empty(); }
 
   // Dom0 resident memory attributable to this process (Fig. 5 accounting).
   std::size_t Dom0Bytes() const;
@@ -96,6 +97,10 @@ class P9BackendRegistry {
   // Clone path: xencloned sends a QMP clone request to the parent's process.
   // Pokes the clone fault point first.
   Status CloneForChild(DomId parent, DomId child);
+
+  // Teardown: drops `dom`'s fid table and reaps the process once it serves
+  // no domain, so a family's process lives as long as any member is served.
+  Status ReleaseDomain(DomId dom);
 
   P9BackendProcess* FindServing(DomId dom);
   std::size_t NumProcesses() const { return processes_.size(); }
