@@ -11,7 +11,7 @@ Host::Host(EventLoop& loop, SystemConfig config, std::size_t index)
   const SystemServices services{metrics_, trace_, faults_};
   hv_ = std::make_unique<Hypervisor>(loop_, costs_, config_.hypervisor, metrics_, faults_);
   xs_ = std::make_unique<XenstoreDaemon>(loop_, costs_, metrics_, faults_);
-  devices_ = std::make_unique<DeviceManager>(*hv_, *xs_, loop_, costs_, faults_);
+  devices_ = std::make_unique<DeviceManager>(*hv_, loop_, costs_, faults_);
   toolstack_ = std::make_unique<Toolstack>(*hv_, *xs_, *devices_, loop_, costs_, services);
   engine_ = std::make_unique<CloneEngine>(*hv_, services);
   engine_->SetLazyConfig(config_.lazy_clone);

@@ -2,12 +2,9 @@
 
 namespace nephele {
 
-DeviceManager::DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop,
-                             const CostModel& costs, FaultInjector& faults)
-    : hv_(hv),
-      xs_(xs),
-      loop_(loop),
-      costs_(costs),
+DeviceManager::DeviceManager(Hypervisor& hv, EventLoop& loop, const CostModel& costs,
+                             FaultInjector& faults)
+    : loop_(loop),
       console_(loop, costs, faults),
       netback_(hv, loop, costs, faults),
       p9_(loop, costs, hostfs_, faults),

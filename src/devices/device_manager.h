@@ -16,15 +16,13 @@
 #include "src/devices/p9.h"
 #include "src/devices/vbd.h"
 #include "src/hypervisor/hypervisor.h"
-#include "src/xenstore/store.h"
 
 namespace nephele {
 
 class DeviceManager {
  public:
   // Every backend registers its clone fault point with `faults`.
-  DeviceManager(Hypervisor& hv, XenstoreDaemon& xs, EventLoop& loop, const CostModel& costs,
-                FaultInjector& faults);
+  DeviceManager(Hypervisor& hv, EventLoop& loop, const CostModel& costs, FaultInjector& faults);
 
   ConsoleBackend& console() { return console_; }
   NetBackend& netback() { return netback_; }
@@ -45,10 +43,7 @@ class DeviceManager {
  private:
   void DispatchUdev(const UdevEvent& event);
 
-  Hypervisor& hv_;
-  XenstoreDaemon& xs_;
   EventLoop& loop_;
-  const CostModel& costs_;
   HostFs hostfs_;
   ConsoleBackend console_;
   NetBackend netback_;

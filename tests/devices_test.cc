@@ -9,7 +9,6 @@
 #include "src/fault/fault.h"
 #include "src/net/switch.h"
 #include "src/obs/metrics.h"
-#include "src/xenstore/store.h"
 
 namespace nephele {
 namespace {
@@ -55,8 +54,7 @@ class DeviceFixture : public ::testing::Test {
  protected:
   DeviceFixture()
       : hv_(loop_, costs_, HypervisorConfig{.pool_frames = 16384}, metrics_, faults_),
-        xs_(loop_, costs_, metrics_, faults_),
-        devices_(hv_, xs_, loop_, costs_, faults_) {}
+        devices_(hv_, loop_, costs_, faults_) {}
 
   DomId NewDomain() {
     auto dom = hv_.CreateDomain("d", 1);
@@ -69,7 +67,6 @@ class DeviceFixture : public ::testing::Test {
   MetricsRegistry metrics_;
   FaultInjector faults_{metrics_};
   Hypervisor hv_;
-  XenstoreDaemon xs_;
   DeviceManager devices_;
 };
 

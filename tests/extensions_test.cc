@@ -89,11 +89,11 @@ TEST_F(XsTxnTest, UnknownTransactionRejected) {
 }
 
 TEST_F(XsTxnTest, TransactionsChargeRequests) {
-  std::uint64_t before = xs_.stats().requests;
+  std::uint64_t before = metrics_.CounterValue("xenstore/requests/total");
   auto txn = xs_.TransactionStart();
   (void)xs_.TxnWrite(*txn, "/t/a", "1");
   (void)xs_.TransactionEnd(*txn, true);
-  EXPECT_EQ(xs_.stats().requests, before + 3);
+  EXPECT_EQ(metrics_.CounterValue("xenstore/requests/total"), before + 3);
 }
 
 // --- OVS least-loaded selector ---
