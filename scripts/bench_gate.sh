@@ -48,6 +48,7 @@ run_sim_benches() {
   "${BENCH}/bench_fig11_faas_scaling" 30 --json="${OUT}/BENCH_fig11.json" >/dev/null
   "${BENCH}/bench_fig12_request_cloning" 2000 --json="${OUT}/BENCH_fig12.json" >/dev/null
   "${BENCH}/bench_fig13_cluster_scaling" 1024 --json="${OUT}/BENCH_fig13.json" >/dev/null
+  "${BENCH}/bench_ablation_cloning" 300 --json="${OUT}/BENCH_ablation_cloning.json" >/dev/null
 }
 
 # The wall-clock (micro-op) benches.
@@ -59,7 +60,8 @@ run_wall_benches() {
 
 CURRENTS_SIM=(--current="${OUT}/BENCH_fig04.json" --current="${OUT}/BENCH_fig07.json"
               --current="${OUT}/BENCH_fig11.json" --current="${OUT}/BENCH_fig12.json"
-              --current="${OUT}/BENCH_fig13.json")
+              --current="${OUT}/BENCH_fig13.json"
+              --current="${OUT}/BENCH_ablation_cloning.json")
 CURRENTS_WALL=(--current="${OUT}/BENCH_clone.json" --current="${OUT}/BENCH_sched.json"
                --current="${OUT}/BENCH_loop.json")
 
