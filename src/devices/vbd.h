@@ -1,6 +1,10 @@
 // Virtual block device (vbd) split driver — an exercise of the paper's
 // Sec. 5.3 extension point: "Supporting new device types requires changes
 // only in the implementations of xencloned and of their backend drivers."
+// Here a new device type touches one kSplitDevices row
+// (src/toolstack/toolstack.h), its backend (this file), its boot handshake
+// (Toolstack::SetupVbd) and its second-stage call (the CloneDisk call in
+// Xencloned::RunSecondStage); Xenstore cloning and teardown follow the row.
 //
 // The backend stores disks as tables of reference-counted blocks in a
 // BlockStore, so cloning a disk is the storage twin of memory cloning: the
