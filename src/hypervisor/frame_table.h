@@ -1,7 +1,12 @@
 // Machine frame table: ownership, sharing and accounting for every 4 KiB
 // frame of simulated machine memory.
 //
-// Page contents are materialised lazily: a frame carries real bytes only
+// The table is paid for by use, like the pool it models. Frame metadata
+// exists only up to one past the highest mfn ever handed out (the used
+// limit): the constructor reserves address space for the whole pool but
+// touches none of it, and a frame's FrameInfo is built the first time the
+// frame is allocated. An mfn at or above used_limit() reads as free. Page
+// contents are materialised lazily too: a frame carries real bytes only
 // once somebody writes to it. This keeps density experiments (Fig. 5: ~9000
 // 4 MiB guests in a 12 GiB pool) cheap while preserving exact accounting and
 // observable COW semantics for frames that are actually used.
@@ -43,16 +48,20 @@ class FrameTable {
   FrameTable(const FrameTable&) = delete;
   FrameTable& operator=(const FrameTable&) = delete;
 
-  std::size_t total_frames() const { return frames_.size(); }
-  std::size_t free_frames() const { return free_count_; }
-  std::size_t allocated_frames() const { return frames_.size() - free_count_; }
+  std::size_t total_frames() const { return total_; }
+  std::size_t free_frames() const { return total_ - allocated_frames(); }
+  std::size_t allocated_frames() const { return frames_.size() - free_list_.size(); }
+  // One past the highest mfn ever allocated (monotone). Mfns at or above
+  // this were never handed out and read as free.
+  std::size_t used_limit() const { return frames_.size(); }
   // Number of frames currently in COW sharing (owned by dom_cow).
   std::size_t shared_frames() const { return shared_count_; }
   // Sum of refcounts of shared frames minus the frames themselves: how many
   // frame-allocations COW sharing is currently saving.
   std::size_t frames_saved_by_sharing() const { return saved_by_sharing_; }
 
-  // Allocates one frame for `owner`. Fails with kResourceExhausted when the
+  // Allocates one frame for `owner`: the most recently freed frame if any,
+  // else the lowest never-used mfn. Fails with kResourceExhausted when the
   // pool is empty.
   Result<Mfn> Alloc(DomId owner);
 
@@ -87,10 +96,11 @@ class FrameTable {
   };
   Result<CowResolution> ResolveCowWrite(Mfn mfn, DomId writer);
 
-  // Raw accessors.
-  const FrameInfo& info(Mfn mfn) const { return frames_[mfn]; }
-  bool IsShared(Mfn mfn) const { return frames_[mfn].shared; }
-  DomId OwnerOf(Mfn mfn) const { return frames_[mfn].owner; }
+  // Raw accessors. Any mfn may be read; one at or above used_limit() reads
+  // as a free frame.
+  const FrameInfo& info(Mfn mfn) const { return mfn < frames_.size() ? frames_[mfn] : kFree; }
+  bool IsShared(Mfn mfn) const { return info(mfn).shared; }
+  DomId OwnerOf(Mfn mfn) const { return info(mfn).owner; }
 
   // Reads `len` bytes at `offset` within the frame. Unwritten frames read as
   // zeroes.
@@ -107,9 +117,13 @@ class FrameTable {
  private:
   Status CheckAllocated(Mfn mfn) const;
 
+  static inline const FrameInfo kFree{};
+
+  std::size_t total_;
+  // Indexed by mfn, up to the used limit.
   std::vector<FrameInfo> frames_;
+  // Freed mfns below the used limit, reused most recently freed first.
   std::vector<Mfn> free_list_;
-  std::size_t free_count_ = 0;
   std::size_t shared_count_ = 0;
   std::size_t saved_by_sharing_ = 0;
 };

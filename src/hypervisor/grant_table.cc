@@ -1,6 +1,7 @@
 #include "src/hypervisor/grant_table.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace nephele {
 
@@ -15,8 +16,7 @@ Result<GrantRef> GrantTable::GrantAccess(DomId grantee, Gfn gfn, bool readonly) 
     }
     entries_.emplace_back();
   }
-  entries_[i] = GrantEntry{/*in_use=*/true, grantee, gfn, readonly, /*map_count=*/0,
-                           /*mappers=*/{}};
+  entries_[i] = GrantEntry{/*in_use=*/true, grantee, gfn, readonly, /*map_count=*/0};
   ++active_;
   free_hint_ = i + 1;
   return static_cast<GrantRef>(i);
@@ -46,7 +46,7 @@ Result<Gfn> GrantTable::Map(GrantRef ref, DomId mapper, bool mapper_is_child_of_
     return ErrPermissionDenied("domain not granted access");
   }
   ++e.map_count;
-  e.mappers.push_back(mapper);
+  mappings_.push_back(GrantMapping{ref, mapper});
   return e.gfn;
 }
 
@@ -58,11 +58,13 @@ Status GrantTable::Unmap(GrantRef ref, DomId mapper) {
   if (e.map_count == 0) {
     return ErrFailedPrecondition("grant not mapped");
   }
-  auto it = std::find(e.mappers.begin(), e.mappers.end(), mapper);
-  if (it == e.mappers.end()) {
+  auto it = std::find_if(mappings_.begin(), mappings_.end(), [&](const GrantMapping& m) {
+    return m.ref == ref && m.mapper == mapper;
+  });
+  if (it == mappings_.end()) {
     return ErrPermissionDenied("mapping not held by caller");
   }
-  e.mappers.erase(it);
+  mappings_.erase(it);
   --e.map_count;
   return Status::Ok();
 }
@@ -72,17 +74,20 @@ const GrantEntry& GrantTable::entry(GrantRef ref) const {
   return ref < entries_.size() ? entries_[ref] : kFree;
 }
 
+std::vector<GrantMapping> GrantTable::RevokeAllMappings() {
+  for (const GrantMapping& m : mappings_) {
+    entries_[m.ref].map_count = 0;
+  }
+  return std::exchange(mappings_, {});
+}
+
 GrantTable GrantTable::CloneForChild() const {
   GrantTable child(max_entries_);
-  child.entries_.resize(entries_.size());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const GrantEntry& e = entries_[i];
-    if (e.in_use) {
-      child.entries_[i] = GrantEntry{e.in_use, e.grantee, e.gfn, e.readonly,
-                                     /*map_count=*/0, /*mappers=*/{}};
-      ++child.active_;
-    }
+  child.entries_ = entries_;
+  for (const GrantMapping& m : mappings_) {
+    child.entries_[m.ref].map_count = 0;
   }
+  child.active_ = active_;
   child.free_hint_ = free_hint_;
   return child;
 }

@@ -12,6 +12,7 @@
 #define SRC_HYPERVISOR_GRANT_TABLE_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/base/result.h"
@@ -27,12 +28,18 @@ struct GrantEntry {
   Gfn gfn = kInvalidGfn;
   bool readonly = false;
   // Count of active mappings; the entry cannot be revoked while nonzero.
+  // Who holds them is in the table's mapping list (GrantTable::mappings()).
   std::uint32_t map_count = 0;
-  // Who holds those mappings, one element per mapping (a domain mapping the
-  // same ref twice appears twice). Always map_count elements; kept so unmap
-  // can reject foreign callers and domain destruction can revoke exactly the
-  // dying domain's mappings.
-  std::vector<DomId> mappers;
+};
+// Entries are plain data, so growing, copying and cloning a table moves
+// bytes and never runs per-entry constructors.
+static_assert(std::is_trivially_copyable_v<GrantEntry>);
+
+// One active mapping of a grant: `mapper` holds a mapping of `ref`. A domain
+// mapping the same ref twice appears twice.
+struct GrantMapping {
+  GrantRef ref = 0;
+  DomId mapper = kDomInvalid;
 };
 
 class GrantTable {
@@ -64,8 +71,16 @@ class GrantTable {
 
   // Any ref may be read; one at or above used_limit() reads as free.
   const GrantEntry& entry(GrantRef ref) const;
-  // Requires ref < used_limit().
-  GrantEntry& mutable_entry(GrantRef ref) { return entries_[ref]; }
+
+  // Every active mapping of this table's grants, in the order they were
+  // made; each in-use entry's map_count equals its number of elements here.
+  // Kept so unmap can reject foreign callers and domain destruction can
+  // revoke exactly the mappings that exist.
+  const std::vector<GrantMapping>& mappings() const { return mappings_; }
+
+  // Drops every mapping (map counts go to zero) and returns them, for
+  // destroy-time revocation of the mapper-side records.
+  std::vector<GrantMapping> RevokeAllMappings();
 
   // Copy used by the clone first stage: the child inherits every in-use
   // entry and the parent's cap. Wildcard (kDomChild) entries stay wildcards
@@ -76,6 +91,7 @@ class GrantTable {
   bool InUse(GrantRef ref) const { return ref < entries_.size() && entries_[ref].in_use; }
 
   std::vector<GrantEntry> entries_;
+  std::vector<GrantMapping> mappings_;
   std::size_t max_entries_;
   std::size_t active_ = 0;
   // No free entry below this index: allocation starts its search here.

@@ -108,22 +108,14 @@ void Hypervisor::ScrubGrantMappings(Domain& d) {
   d.grant_maps.clear();
   // ... and the mappings others hold into the dying domain's table (their
   // mapper-side records would otherwise dangle).
-  for (GrantRef ref = 0; ref < d.grants.used_limit(); ++ref) {
-    GrantEntry& e = d.grants.mutable_entry(ref);
-    if (!e.in_use) {
-      continue;
-    }
-    for (DomId mapper_id : e.mappers) {
-      if (Domain* m = FindDomain(mapper_id); m != nullptr) {
-        auto it = std::find(m->grant_maps.begin(), m->grant_maps.end(),
-                            std::make_pair(d.id, ref));
-        if (it != m->grant_maps.end()) {
-          m->grant_maps.erase(it);
-        }
+  for (const auto& [ref, mapper_id] : d.grants.RevokeAllMappings()) {
+    if (Domain* m = FindDomain(mapper_id); m != nullptr) {
+      auto it = std::find(m->grant_maps.begin(), m->grant_maps.end(),
+                          std::make_pair(d.id, ref));
+      if (it != m->grant_maps.end()) {
+        m->grant_maps.erase(it);
       }
     }
-    e.mappers.clear();
-    e.map_count = 0;
   }
 }
 

@@ -198,7 +198,7 @@ class Hypervisor {
   Status ResolveCowForWrite(Domain& d, Gfn gfn);
   void ReleaseDomainFrames(Domain& d);
   // Destroy-time revocation of grant mappings held by and into `d`, keeping
-  // the granter-side mappers lists and mapper-side grant_maps records in
+  // the granter-side mapping lists and mapper-side grant_maps records in
   // sync (no dangling handles on either side of a dead domain).
   void ScrubGrantMappings(Domain& d);
   // Resets every surviving domain's connected channels that still point at

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
-#include <unordered_map>
+#include <vector>
 
 namespace nephele {
 
@@ -20,27 +20,49 @@ std::string CheckFrameInvariants(const Hypervisor& hv) {
            " + allocated " + std::to_string(ft.allocated_frames()) + " != total " +
            std::to_string(ft.total_frames());
   }
-  std::unordered_map<Mfn, std::uint64_t> refs;
-  refs.reserve(ft.allocated_frames());
+  // Mappings per mfn. Every allocated frame lies below the used limit, so a
+  // mapping at or above it names a frame that was never handed out.
+  std::vector<std::uint32_t> refs(ft.used_limit());
+  std::size_t mapped = 0;
+  std::string never_allocated;
+  auto add_mapping = [&](DomId id, Mfn m) {
+    if (m >= refs.size()) {
+      if (never_allocated.empty()) {
+        never_allocated = "never-allocated frame mapped: dom " + DomStr(id) + " mfn " +
+                          std::to_string(m);
+      }
+      return;
+    }
+    if (refs[m]++ == 0) {
+      ++mapped;
+    }
+  };
   for (DomId id : hv.DomainIds()) {
     const Domain* d = hv.FindDomain(id);
     for (const P2mEntry& e : d->p2m) {
       if (e.mfn != kInvalidMfn) {
-        ++refs[e.mfn];
+        add_mapping(id, e.mfn);
       }
     }
     for (Mfn m : d->page_table_frames) {
-      ++refs[m];
+      add_mapping(id, m);
     }
     for (Mfn m : d->p2m_frames) {
-      ++refs[m];
+      add_mapping(id, m);
     }
   }
-  if (ft.allocated_frames() != refs.size()) {
-    return "frame leak: " + std::to_string(ft.allocated_frames()) + " allocated, " +
-           std::to_string(refs.size()) + " mapped";
+  if (!never_allocated.empty()) {
+    return never_allocated;
   }
-  for (const auto& [mfn, count] : refs) {
+  if (ft.allocated_frames() != mapped) {
+    return "frame leak: " + std::to_string(ft.allocated_frames()) + " allocated, " +
+           std::to_string(mapped) + " mapped";
+  }
+  for (Mfn mfn = 0; mfn < refs.size(); ++mfn) {
+    const std::uint32_t count = refs[mfn];
+    if (count == 0) {
+      continue;
+    }
     const FrameInfo& fi = ft.info(mfn);
     if (!fi.allocated) {
       return "freed frame still mapped: mfn " + std::to_string(mfn);
@@ -145,12 +167,27 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
   // maps must agree exactly (no dangling handle on either side).
   std::map<std::tuple<DomId, DomId, GrantRef>, std::uint64_t> granter_side;
   std::map<std::tuple<DomId, DomId, GrantRef>, std::uint64_t> mapper_side;
+  // Mappings per ref of one table, from its mapping list.
+  std::vector<std::uint32_t> recorded;
   for (DomId id : hv.DomainIds()) {
     const Domain* d = hv.FindDomain(id);
+    recorded.assign(d->grants.used_limit(), 0);
+    for (const auto& [ref, mapper] : d->grants.mappings()) {
+      if (!d->grants.entry(ref).in_use) {
+        return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
+               " free but still mapped";
+      }
+      if (hv.FindDomain(mapper) == nullptr) {
+        return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
+               " mapped by dead domain " + DomStr(mapper);
+      }
+      ++recorded[ref];
+      ++granter_side[{mapper, id, ref}];
+    }
     for (GrantRef ref = 0; ref < d->grants.used_limit(); ++ref) {
       const GrantEntry& e = d->grants.entry(ref);
       if (!e.in_use) {
-        if (e.map_count != 0 || !e.mappers.empty()) {
+        if (e.map_count != 0) {
           return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
                  " free but still mapped";
         }
@@ -160,17 +197,10 @@ std::string CheckGrantInvariants(const Hypervisor& hv) {
         return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
                " grants gfn " + std::to_string(e.gfn) + " outside its p2m";
       }
-      if (e.map_count != e.mappers.size()) {
+      if (e.map_count != recorded[ref]) {
         return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) + " map_count " +
-               std::to_string(e.map_count) + " != " + std::to_string(e.mappers.size()) +
+               std::to_string(e.map_count) + " != " + std::to_string(recorded[ref]) +
                " recorded mappers";
-      }
-      for (DomId mapper : e.mappers) {
-        if (hv.FindDomain(mapper) == nullptr) {
-          return "dom " + DomStr(id) + " grant ref " + std::to_string(ref) +
-                 " mapped by dead domain " + DomStr(mapper);
-        }
-        ++granter_side[{mapper, id, ref}];
       }
     }
     for (const auto& [granter, ref] : d->grant_maps) {
