@@ -6,7 +6,9 @@
 // With --json=PATH the binary skips google-benchmark and runs the gate's
 // fixed op set instead (--suite=clone | sched | loop), writing a
 // BenchJsonWriter document: per-op wall ms and ops/sec for single-child
-// stage 1, the 64-child batch, scheduler cold dispatch and warm-pool hits, event-loop post/run churn and guest flow-table lookups.
+// stage 1, the 64-child batch, building a default system, scheduler cold
+// dispatch and warm-pool hits, event-loop post/run churn and guest
+// flow-table lookups.
 // Any other flag is passed through to google-benchmark.
 
 #include <benchmark/benchmark.h>
@@ -300,6 +302,12 @@ OpTiming MeasureBatch64(int batches) {
   return t;
 }
 
+// Wall cost of building and tearing down a default NepheleSystem: the 12 GiB
+// pool every figure bench, DST round and perfbench workload starts from.
+OpTiming MeasureHostBuild(int iters) {
+  return TimeOps(iters, [] { NepheleSystem system{SystemConfig{}}; });
+}
+
 // Scheduler round trips. warm_pool_capacity 0 keeps every acquire cold
 // (full dispatch: window, batch, grant); the warm variant parks the child
 // between rounds so every acquire is a pool hit.
@@ -398,11 +406,14 @@ int RunGateMode(const BenchArgs& args) {
   if (suite == "clone") {
     OpTiming serial = MeasureSerialStage1(64);
     OpTiming batch64 = MeasureBatch64(6);
+    OpTiming build = MeasureHostBuild(20);
     json.Add("serial_stage1_ms", serial.ms_per_op, "ms", MetricDir::kLowerIsBetter,
              MetricKind::kWall);
     json.Add("serial_stage1_ops_per_sec", serial.ops_per_sec, "ops_per_sec",
              MetricDir::kHigherIsBetter, MetricKind::kWall);
     json.Add("batch64_ms", batch64.ms_per_op, "ms", MetricDir::kLowerIsBetter,
+             MetricKind::kWall);
+    json.Add("host_build_ms", build.ms_per_op, "ms", MetricDir::kLowerIsBetter,
              MetricKind::kWall);
   } else if (suite == "sched") {
     OpTiming dispatch = MeasureSchedulerRoundTrip(0, 64);
