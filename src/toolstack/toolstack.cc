@@ -52,10 +52,11 @@ void Toolstack::TearDownDom0State(DomId dom, const DomainConfig& config) {
   (void)xs_.Rm(XsDomainPath(dom));
   (void)xs_.Rm("/vm/" + std::to_string(dom));
   (void)xs_.Rm("/libxl/" + std::to_string(dom));
-  // Backend directories live under Dom0's path and must go too.
+  // Backend directories live under Dom0's path and must go too, with the
+  // per-domain directory above them.
   for (const SplitDevice& dev : kSplitDevices) {
     if (dev.In(config)) {
-      (void)xs_.Rm(dev.BackendPath(dom));
+      (void)xs_.Rm(dev.BackendDomainDir(dom));
     }
   }
   if (xs_.DomainKnown(dom)) {

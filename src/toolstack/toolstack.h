@@ -75,6 +75,13 @@ struct SplitDevice {
   std::string BackendPath(DomId dom) const {
     return XsBackendPath(kDom0, DeviceTypeName(type), dom, 0);
   }
+  // Dom0's backend/<name>/<dom>: the parent of BackendPath, holding every
+  // backend of this type that serves `dom`.
+  std::string BackendDomainDir(DomId dom) const {
+    std::string path = BackendPath(dom);
+    path.resize(path.rfind('/'));
+    return path;
+  }
 };
 
 // The split devices in boot order. Code that only cares about a device's

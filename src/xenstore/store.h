@@ -149,7 +149,9 @@ class XenstoreDaemon {
   Node* LookupOrCreate(const std::string& path);
   // Writes without request accounting (used inside xs_clone: server-side).
   void InternalWrite(const std::string& path, const std::string& value, bool fire_watches);
-  void CountRemovedSubtree(const Node& node);
+  // Drops the entry count and memory charge of `node` (named `name` in its
+  // parent) and everything below it.
+  void CountRemovedSubtree(const std::string& name, const Node& node);
   static void CollectValues(const Node& node, const std::string& path,
                             std::vector<std::pair<std::string, std::string>>& out);
   void JournalWrite(const std::string& path);

@@ -36,6 +36,9 @@ inline void ExpectNoDom0Trace(NepheleSystem& sys, DomId dom) {
   EXPECT_FALSE(xs.Exists("/libxl/" + std::to_string(dom)));
   for (const char* type : {"vif", "9pfs", "vbd"}) {
     EXPECT_FALSE(xs.Exists(XsBackendPath(kDom0, type, dom, 0))) << type;
+    EXPECT_FALSE(xs.Exists(XsDomainPath(kDom0) + "/backend/" + type + "/" +
+                           std::to_string(dom)))
+        << type;
   }
   EXPECT_FALSE(xs.DomainKnown(dom));
   DeviceManager& devices = sys.devices();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/system.h"
 #include "src/xenstore/path.h"
 #include "tests/frame_invariants.h"
@@ -114,6 +116,22 @@ TEST_F(ToolstackTest, DestroyReleasesResourcesAndRegistry) {
   EXPECT_FALSE(system_.xenstore().Exists(XsDomainPath(*dom)));
   EXPECT_EQ(system_.toolstack().FindDevices(*dom), nullptr);
   ExpectNoDom0Trace(system_, *dom);
+}
+
+TEST_F(ToolstackTest, BootDestroyCyclesKeepXenstoreMemoryFlat) {
+  // Every cycle writes and removes the same guest entries, so the Xenstore
+  // memory charge (part of Dom0FreeBytes, the Fig. 5 accounting) must come
+  // back to the same value each time.
+  std::vector<std::size_t> after_cycle;
+  for (int cycle = 0; cycle < 4; ++cycle) {
+    auto dom = system_.toolstack().CreateDomain(GuestConfig("a"));
+    ASSERT_TRUE(dom.ok());
+    system_.Settle();
+    ASSERT_TRUE(system_.toolstack().DestroyDomain(*dom).ok());
+    system_.Settle();
+    after_cycle.push_back(system_.xenstore().ApproxMemoryBytes());
+  }
+  EXPECT_EQ(after_cycle, std::vector<std::size_t>(4, after_cycle.front()));
 }
 
 TEST_F(ToolstackTest, SaveRestoreRoundTrip) {

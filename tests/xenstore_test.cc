@@ -61,6 +61,18 @@ TEST_F(XenstoreTest, OverwriteKeepsEntryCount) {
   EXPECT_EQ(*xs_.Read("/k"), "2");
 }
 
+TEST_F(XenstoreTest, MemoryChargeFollowsValuesAndNodes) {
+  const std::size_t empty = xs_.ApproxMemoryBytes();
+  ASSERT_TRUE(xs_.Write("/d/k", "long-value").ok());
+  const std::size_t written = xs_.ApproxMemoryBytes();
+  ASSERT_TRUE(xs_.Write("/d/k", "v").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), written - 9);  // a shorter value shrinks it
+  ASSERT_TRUE(xs_.Write("/d/k", "long-value").ok());
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), written);
+  ASSERT_TRUE(xs_.Rm("/d").ok());  // refunds both nodes, their names and the value
+  EXPECT_EQ(xs_.ApproxMemoryBytes(), empty);
+}
+
 TEST_F(XenstoreTest, DirectoryLists) {
   ASSERT_TRUE(xs_.Write("/d/x", "1").ok());
   ASSERT_TRUE(xs_.Write("/d/y", "2").ok());
